@@ -23,14 +23,16 @@ couples within a call and can serve them from the content-addressed
 :class:`~repro.adapter.entity_store.EntityStore` across calls: warm
 couples skip the transformer entirely, and cold couples are assembled
 from per-entity *half* records so each entity text is tokenized and
-embedded once however many pairs it appears in.
+embedded once however many pairs it appears in. Store lookups come in
+two batches per call (couples, then the missing couples' entities), so
+the disk tier opens each pack at most once per batch.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.adapter.entity_store import EntityStore
+from repro.adapter.entity_store import PackWriter
 from repro.adapter.tokenizer import PairSequence
 from repro.exceptions import UnknownModelError
 from repro.transformers import (
@@ -121,43 +123,38 @@ class TransformerEmbedder:
             "entity-half", ENCODE_VERSION, self.architecture, text
         )
 
-    def _entity_half(
-        self,
-        text: str,
-        store: EntityStore | None,
-        local: dict[str, tuple[np.ndarray, np.ndarray]],
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """One entity's (matrix, sep_positions), via call memo and store."""
-        half = local.get(text)
-        if half is not None:
-            return half
-        if store is not None:
-            record = store.load(self._half_key(text))
-            if record is not None:
+    def _entity_halves(
+        self, texts: list[str], store: PackWriter | None
+    ) -> dict[str, tuple[np.ndarray, np.ndarray]]:
+        """Each entity text's (matrix, sep_positions), via the store."""
+        if store is None:
+            return {text: self._encoder.entity_half(text) for text in texts}
+        keys = {text: self._half_key(text) for text in texts}
+        found = store.load_many(keys.values())
+        halves: dict[str, tuple[np.ndarray, np.ndarray]] = {}
+        for text, key in keys.items():
+            record = found.get(key)
+            if record is None:
+                half = self._encoder.entity_half(text)
+                store.save(key, {"matrix": half[0], "sep_positions": half[1]})
+            else:
                 half = (record["matrix"], record["sep_positions"])
-                local[text] = half
-                return half
-        half = self._encoder.entity_half(text)
-        if store is not None:
-            store.save(
-                self._half_key(text),
-                {"matrix": half[0], "sep_positions": half[1]},
-            )
-        local[text] = half
-        return half
+            halves[text] = half
+        return halves
 
     def embed_pairs(
         self,
         sequences: list[PairSequence],
-        store: EntityStore | None = None,
+        store: PackWriter | None = None,
     ) -> np.ndarray:
         """Embed ``(left, right)`` value couples, one vector per couple.
 
-        With a ``store``, finished couple vectors are served from (and
-        written back to) the entity store; cold couples are assembled
-        from cached per-entity halves. Without one, the same bits are
-        computed from scratch — the bucketed forward makes every vector
-        content-determined, so store-on and store-off agree exactly.
+        With a ``store`` (an open :class:`PackWriter`), finished couple
+        vectors are served from, and written back to, the entity store;
+        cold couples are assembled from cached per-entity halves. Without
+        one, the same bits are computed from scratch — the bucketed
+        forward makes every vector content-determined, so store-on and
+        store-off agree exactly.
         """
         out = np.zeros((len(sequences), self.output_dim))
         if not sequences:
@@ -165,26 +162,27 @@ class TransformerEmbedder:
         rows_of: dict[PairSequence, list[int]] = {}
         for row, couple in enumerate(sequences):
             rows_of.setdefault(couple, []).append(row)
-        missing: list[PairSequence] = []
-        for couple in rows_of:
-            record = (
-                store.load(self._sequence_key(couple))
-                if store is not None
-                else None
-            )
-            if record is None:
-                missing.append(couple)
-            else:
-                out[rows_of[couple]] = record["vector"]
+        if store is None:
+            missing = list(rows_of)
+        else:
+            keys = {couple: self._sequence_key(couple) for couple in rows_of}
+            found = store.load_many(keys.values())
+            missing = []
+            for couple, key in keys.items():
+                record = found.get(key)
+                if record is None:
+                    missing.append(couple)
+                else:
+                    out[rows_of[couple]] = record["vector"]
         if not missing:
             return out
         encoder = self._encoder
-        halves: dict[str, tuple[np.ndarray, np.ndarray]] = {}
+        halves = self._entity_halves(
+            list(dict.fromkeys(text for couple in missing for text in couple)),
+            store,
+        )
         prepared = [
-            encoder.assemble_pair(
-                self._entity_half(left, store, halves),
-                self._entity_half(right, store, halves),
-            )
+            encoder.assemble_pair(halves[left], halves[right])
             for left, right in missing
         ]
         for chunk, stacked, mask, segments in pad_length_buckets(
@@ -196,9 +194,7 @@ class TransformerEmbedder:
                 if store is not None:
                     # Copy: a row view would pin the whole block in the
                     # store's memory tier while only counting one row.
-                    store.save(
-                        self._sequence_key(couple), {"vector": vector.copy()}
-                    )
+                    store.save(keys[couple], {"vector": vector.copy()})
                 out[rows_of[couple]] = vector
         return out
 

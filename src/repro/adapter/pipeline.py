@@ -219,8 +219,10 @@ class EMAdapter:
                     [sequences[position] for sequences in per_pair]
                     for position in range(n_sequences)
                 ]
-            store = (
-                entity_store()
+            # One pack writer per call: the records this call computes
+            # reach the disk tier as a single pack when the call ends.
+            writer = (
+                entity_store().writer()
                 if self.entity_cache
                 and getattr(self.embedder, "supports_entity_store", False)
                 else None
@@ -233,11 +235,14 @@ class EMAdapter:
                     position=position,
                     sequences=len(couples),
                 ):
-                    if store is not None:
-                        vectors = self.embedder.embed_pairs(couples, store)
+                    if writer is not None:
+                        vectors = self.embedder.embed_pairs(couples, writer)
                     else:
                         vectors = self.embedder.embed_pairs(couples)
                     per_position.append(vectors)
+            if writer is not None:
+                with telemetry.span("adapter.publish"):
+                    writer.close()
             with telemetry.span("adapter.combine", combiner=self.combiner.name):
                 features = self.combiner.combine_dataset(per_position)
             return self._store_cache(key, disk_path, features)

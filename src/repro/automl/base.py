@@ -171,7 +171,7 @@ class AutoMLSystem(abc.ABC):
 
             with telemetry.span("automl.ensemble", system=self.name):
                 self._build_final(X, y, X_valid, y_valid, clock)
-                proba = self._ensemble_proba(X_valid)
+                proba = self._proba(X_valid)
                 self._threshold, best_f1 = best_f1_threshold(y_valid, proba)
             fit_span.set(
                 n_evaluated=len(self._leaderboard),
@@ -194,14 +194,24 @@ class AutoMLSystem(abc.ABC):
     def predict_proba(self, X: np.ndarray) -> np.ndarray:
         """P(non-match), P(match) columns for every row."""
         self._check_fitted()
-        p1 = self._ensemble_proba(np.asarray(X, dtype=np.float64))
+        p1 = self._proba(X)
         return np.column_stack([1.0 - p1, p1])
 
     def predict(self, X: np.ndarray) -> np.ndarray:
-        """Match predictions at the validation-tuned threshold."""
+        """Match predictions at the validation-tuned threshold.
+
+        Equal, bit for bit, to ``predict_proba(X)[:, 1] >= threshold_``:
+        a caller that needs both thresholds the probabilities it holds
+        instead of paying a second ensemble pass.
+        """
         self._check_fitted()
-        p1 = self._ensemble_proba(np.asarray(X, dtype=np.float64))
-        return (p1 >= self._threshold).astype(np.int64)
+        return (self._proba(X) >= self._threshold).astype(np.int64)
+
+    @property
+    def threshold_(self) -> float:
+        """The validation-tuned decision threshold on P(match)."""
+        self._check_fitted()
+        return self._threshold
 
     @property
     def leaderboard(self) -> list[LeaderboardEntry]:
@@ -214,6 +224,11 @@ class AutoMLSystem(abc.ABC):
     def _check_fitted(self) -> None:
         if not hasattr(self, "report_"):
             raise NotFittedError(f"{type(self).__name__} must be fitted first")
+
+    def _proba(self, X: np.ndarray) -> np.ndarray:
+        """One counted pass of the final ensemble (``automl.ensemble.passes``)."""
+        telemetry.counter("automl.ensemble.passes").inc()
+        return self._ensemble_proba(np.asarray(X, dtype=np.float64))
 
     def _evaluate(
         self,

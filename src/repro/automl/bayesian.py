@@ -9,8 +9,6 @@ selector driven by the best score observed per family.
 from __future__ import annotations
 
 import numpy as np
-from scipy import linalg
-from scipy.stats import norm as normal_dist
 
 from repro.automl.search_space import FAMILY_SPACES, Configuration
 from repro.exceptions import NotFittedError
@@ -40,6 +38,8 @@ class GaussianProcessSurrogate:
     def fit(self, X: np.ndarray, y: np.ndarray) -> "GaussianProcessSurrogate":
         X = np.atleast_2d(np.asarray(X, dtype=np.float64))
         y = np.asarray(y, dtype=np.float64)
+        from scipy import linalg  # search only: loading a model skips scipy
+
         self._y_mean = float(y.mean())
         K = self._kernel(X, X) + self.noise * np.eye(len(X))
         self._chol = linalg.cholesky(K, lower=True)
@@ -51,6 +51,8 @@ class GaussianProcessSurrogate:
         """Posterior mean and standard deviation at query points."""
         if self._X is None or self._alpha is None or self._chol is None:
             raise NotFittedError("surrogate must be fitted first")
+        from scipy import linalg
+
         X = np.atleast_2d(np.asarray(X, dtype=np.float64))
         K_star = self._kernel(X, self._X)
         mean = self._y_mean + K_star @ self._alpha
@@ -63,6 +65,8 @@ def expected_improvement(
     mean: np.ndarray, std: np.ndarray, best: float, xi: float = 0.005
 ) -> np.ndarray:
     """EI of maximizing beyond ``best`` (with exploration margin ``xi``)."""
+    from scipy.stats import norm as normal_dist
+
     improvement = mean - best - xi
     z = improvement / np.maximum(std, 1e-12)
     return improvement * normal_dist.cdf(z) + std * normal_dist.pdf(z)

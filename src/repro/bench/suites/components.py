@@ -202,6 +202,14 @@ def _run_entity_embedding_cache(ctx) -> dict:
             start = time.perf_counter()
             warm_out = warm.transform(dataset)
             warm_seconds = time.perf_counter() - start
+
+            # Disk-replay leg: a fresh store (a new process, a worker)
+            # has an empty memory tier, so every record comes from the
+            # one pack the populate pass wrote.
+            clear_entity_store()
+            start = time.perf_counter()
+            replay_out = warm.transform(dataset)
+            replay_seconds = time.perf_counter() - start
         finally:
             clear_entity_store()
             if previous is None:
@@ -211,6 +219,8 @@ def _run_entity_embedding_cache(ctx) -> dict:
 
     if not np.array_equal(cold_out, warm_out):
         raise AssertionError("entity store changed the transform bits")
+    if not np.array_equal(cold_out, replay_out):
+        raise AssertionError("entity packs changed the transform bits")
     speedup = cold_seconds / warm_seconds
     if speedup < 2.0:
         raise AssertionError(
@@ -220,6 +230,7 @@ def _run_entity_embedding_cache(ctx) -> dict:
     ctx.metric("cold_seconds", cold_seconds)
     ctx.metric("populate_seconds", populate_seconds)
     ctx.metric("warm_seconds", warm_seconds)
+    ctx.metric("replay_seconds", replay_seconds)
     ctx.metric("warm_speedup", speedup)
     return {
         "dataset": "S-DA",
@@ -235,15 +246,20 @@ SPECS.append(
         name="entity_embedding_cache",
         tier="quick",
         run=_run_entity_embedding_cache,
-        description="adapter transform cold vs warm through the entity store",
+        description="adapter transform cold vs warm vs disk replay through "
+        "the entity store",
         counters=(
             "adapter.entity_cache.memory.hits",
             "adapter.entity_cache.memory.misses",
+            "adapter.entity_cache.disk.hits",
+            "adapter.entity_cache.disk.misses",
+            "adapter.entity_cache.disk.packs_written",
         ),
         metrics=(
             MetricPolicy("cold_seconds", unit="s", tolerance=2.0),
             MetricPolicy("populate_seconds", unit="s", tolerance=2.0),
             MetricPolicy("warm_seconds", unit="s", tolerance=3.0),
+            MetricPolicy("replay_seconds", unit="s", tolerance=3.0),
             # The acceptance floor is the in-run >=2x assertion; the
             # gate additionally holds the replay within an order of
             # magnitude of the committed baseline.
@@ -260,6 +276,23 @@ SPECS.append(
             ),
             MetricPolicy(
                 "adapter.entity_cache.memory.misses",
+                direction="two_sided",
+                tolerance=0.0,
+            ),
+            # Disk work, exact: the populate pass misses every record and
+            # writes one pack; the replay reads every record it needs.
+            MetricPolicy(
+                "adapter.entity_cache.disk.hits",
+                direction="two_sided",
+                tolerance=0.0,
+            ),
+            MetricPolicy(
+                "adapter.entity_cache.disk.misses",
+                direction="two_sided",
+                tolerance=0.0,
+            ),
+            MetricPolicy(
+                "adapter.entity_cache.disk.packs_written",
                 direction="two_sided",
                 tolerance=0.0,
             ),

@@ -10,7 +10,10 @@ serving of the same pairs.
 
 The bench runner installs its own telemetry recorder around every spec,
 so the daemon's metrics land there and the server-side histogram counts
-can be asserted without extra wiring.
+can be asserted without extra wiring. The ensemble pass count
+(``automl.ensemble.passes``) is gated exactly: up to the daemon it is a
+pure function of the fit and the contract check, and each daemon flush
+must cost one pass.
 """
 
 from __future__ import annotations
@@ -31,6 +34,7 @@ _SCALE = 0.02
 
 
 def _run_serving_latency(ctx) -> dict:
+    from repro import telemetry
     from repro.data import load_dataset, split_dataset
     from repro.matching import EMPipeline
     from repro.persistence import save_model
@@ -63,6 +67,8 @@ def _run_serving_latency(ctx) -> dict:
             raise AssertionError(
                 "batched and one-at-a-time serving predictions diverge"
             )
+        passes = telemetry.counter("automl.ensemble.passes")
+        offline_passes = passes.value
 
         daemon = MatchDaemon(engine, ("127.0.0.1", 0), max_delay_seconds=0.002)
         thread = threading.Thread(target=daemon.serve_forever, daemon=True)
@@ -94,12 +100,13 @@ def _run_serving_latency(ctx) -> dict:
             f"server histogram recorded {served} < {_REQUESTS} requests"
         )
 
+    flushes = server["counters"].get("serving.batch.flushes", 0)
+    ctx.metric("automl.ensemble.passes", offline_passes)
+    ctx.metric("ensemble_passes_per_flush", (passes.value - offline_passes) / flushes)
     ctx.metric("p50_ms", report["client_latency_ms"]["p50"])
     ctx.metric("p99_ms", report["client_latency_ms"]["p99"])
     ctx.metric("requests_per_second", report["requests_per_second"])
-    ctx.metric(
-        "batch_flushes", server["counters"].get("serving.batch.flushes", 0)
-    )
+    ctx.metric("batch_flushes", flushes)
     return {
         "dataset": "S-FZ",
         "scale": _SCALE,
@@ -132,6 +139,14 @@ SPECS.append(
             ),
             # Fusion must keep happening at all: ungated context metric.
             MetricPolicy("batch_flushes", direction="two_sided", gate=False),
+            # Work counts, exact: fit + one pass for the fused contract
+            # call + one per serial call, then one pass per flush.
+            MetricPolicy(
+                "automl.ensemble.passes", direction="two_sided", tolerance=0.0
+            ),
+            MetricPolicy(
+                "ensemble_passes_per_flush", direction="two_sided", tolerance=0.0
+            ),
         ),
         profile_memory=False,
     )

@@ -24,7 +24,6 @@ import abc
 from collections import defaultdict
 from collections.abc import Sequence
 
-import networkx as nx
 import numpy as np
 
 from repro.config import stable_hash
@@ -279,18 +278,24 @@ def cluster_matches(
     """Resolve pairwise match decisions into entity clusters.
 
     Nodes are ``("L", i)`` / ``("R", j)``; predicted matches are edges;
-    clusters are connected components with more than one member.
+    clusters are connected components with more than one member, in the
+    order their first node appears in ``pairs`` (union-find with path
+    halving).
     """
-    graph = nx.Graph()
+    parent: dict[tuple[str, int], tuple[str, int]] = {}
+
+    def root(node: tuple[str, int]) -> tuple[str, int]:
+        while parent[node] != node:
+            parent[node] = node = parent[parent[node]]
+        return node
+
     for (i, j), predicted in zip(pairs, predictions):
-        left_node = ("L", int(i))
-        right_node = ("R", int(j))
-        graph.add_node(left_node)
-        graph.add_node(right_node)
+        left_node, right_node = ("L", int(i)), ("R", int(j))
+        parent.setdefault(left_node, left_node)
+        parent.setdefault(right_node, right_node)
         if predicted:
-            graph.add_edge(left_node, right_node)
-    return [
-        set(component)
-        for component in nx.connected_components(graph)
-        if len(component) > 1
-    ]
+            parent[root(left_node)] = root(right_node)
+    components: dict[tuple[str, int], set[tuple[str, int]]] = {}
+    for node in parent:
+        components.setdefault(root(node), set()).add(node)
+    return [members for members in components.values() if len(members) > 1]

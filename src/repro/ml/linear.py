@@ -9,7 +9,6 @@ values.
 from __future__ import annotations
 
 import numpy as np
-from scipy import optimize
 
 from repro.ml.base import Estimator, check_is_fitted, check_Xy
 
@@ -75,6 +74,8 @@ class LogisticRegression(Estimator):
             grad = Xb.T @ (weights * (p - encoded)) / len(X)
             grad[:-1] += lam * w[:-1]
             return loss, grad
+
+        from scipy import optimize  # fitting only: loading a model skips scipy
 
         w0 = np.zeros(Xb.shape[1])
         result = optimize.minimize(
@@ -150,6 +151,8 @@ class LinearSVMClassifier(Estimator):
             grad[:-1] += lam * w[:-1]
             return loss, grad
 
+        from scipy import optimize
+
         result = optimize.minimize(
             objective,
             np.zeros(Xb.shape[1]),
@@ -187,6 +190,8 @@ class LinearSVMClassifier(Estimator):
                     encoded * np.log(p + eps) + (1 - encoded) * np.log(1 - p + eps)
                 )
             )
+
+        from scipy import optimize
 
         result = optimize.minimize(
             objective, np.array([1.0, 0.0]), method="Nelder-Mead"

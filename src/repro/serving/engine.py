@@ -146,10 +146,12 @@ class MatchEngine:
     def match_pairs(self, pairs: list[dict]) -> tuple[np.ndarray, np.ndarray]:
         """Match probabilities and thresholded labels for ``pairs``.
 
-        One vectorized adapter transform plus one predict call; the
-        micro-batcher fuses many requests into a single invocation.
-        Because encoding is exact-length-bucketed, the result rows are
-        bit-identical regardless of batch composition.
+        One vectorized adapter transform plus one ensemble pass — the
+        labels threshold the probabilities at the fitted
+        ``threshold_``, exactly as ``predict`` would; the micro-batcher
+        fuses many requests into a single invocation. Because encoding
+        is exact-length-bucketed, the result rows are bit-identical
+        regardless of batch composition.
         """
         if not pairs:
             return (
@@ -160,5 +162,5 @@ class MatchEngine:
             adapter, automl = self._adapter, self._automl
         features = adapter.transform(self.dataset_for(pairs))
         probabilities = automl.predict_proba(features)[:, 1]
-        labels = automl.predict(features)
+        labels = (probabilities >= automl.threshold_).astype(np.int64)
         return probabilities, labels

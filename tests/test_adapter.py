@@ -3,6 +3,8 @@ no-adapter featurizers, and augmentation."""
 
 from __future__ import annotations
 
+import os
+
 import numpy as np
 import pytest
 
@@ -24,6 +26,7 @@ from repro.adapter import (
     make_tokenizer,
 )
 from repro.adapter.augmentation import balance_dataset, shuffle_attribute, swap_pair
+from repro.adapter.entity_store import PACK_FORMAT
 from repro.data.schema import AttributeKind, EMDataset, PairRecord, Schema
 from repro.exceptions import NotFittedError, UnknownModelError
 
@@ -481,7 +484,8 @@ class TestEntityStore:
             "matrix": np.arange(6.0).reshape(2, 3),
             "sep_positions": np.array([1], dtype=np.int64),
         }
-        store.save(123, arrays)
+        with store.writer() as pack:
+            pack.save(123, arrays)
         loaded = store.load(123)
         assert np.array_equal(loaded["matrix"], arrays["matrix"])
         assert np.array_equal(loaded["sep_positions"], arrays["sep_positions"])
@@ -489,12 +493,19 @@ class TestEntityStore:
     def test_disk_round_trip_survives_rebind(self, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
         clear_entity_store()
-        entity_store().save(7, {"vector": np.ones(4)})
+        with entity_store().writer() as pack:
+            pack.save(7, {"vector": np.ones(4)})
+            pack.save(8, {"matrix": np.eye(3), "sep_positions": np.arange(2)})
         clear_entity_store()  # a fresh process / worker
-        loaded = entity_store().load(7)
-        assert loaded is not None and np.array_equal(loaded["vector"], np.ones(4))
-        names = [p.name for p in (tmp_path / "entity").iterdir()]
-        assert names == ["0000000000000007.npz"]
+        loaded = entity_store().load_many([7, 8, 9])
+        assert sorted(loaded) == [7, 8]
+        assert np.array_equal(loaded[7]["vector"], np.ones(4))
+        assert np.array_equal(loaded[8]["matrix"], np.eye(3))
+        assert loaded[8]["sep_positions"].dtype == np.arange(2).dtype
+        # One pack for the whole writer, named by pid, serial and keys.
+        (name,) = [p.name for p in (tmp_path / "entity").iterdir()]
+        assert name.startswith(f"{os.getpid():x}-0-")
+        assert name.endswith(f".v{PACK_FORMAT}.pack")
         clear_entity_store()
 
     @pytest.mark.parametrize(
@@ -502,21 +513,22 @@ class TestEntityStore:
     )
     def test_corrupt_record_recovered(self, tmp_path, monkeypatch, payload):
         """Parity with the pair-cache corruption tests: a garbled or
-        zero-byte record counts as corrupt (not a miss), is unlinked,
-        and the caller recomputes."""
+        zero-byte pack counts as corrupt, is unlinked, and its records
+        miss so the caller recomputes them."""
         from repro import telemetry
 
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
         clear_entity_store()
-        entity_store().save(7, {"vector": np.ones(4)})
-        path = tmp_path / "entity" / "0000000000000007.npz"
+        with entity_store().writer() as pack:
+            pack.save(7, {"vector": np.ones(4)})
+        (path,) = (tmp_path / "entity").iterdir()
         path.write_bytes(payload)
         clear_entity_store()
         with telemetry.recording() as rec:
             assert entity_store().load(7) is None
         counters = rec.metrics.counters
         assert counters["adapter.entity_cache.disk.corrupt"].value == 1
-        assert "adapter.entity_cache.disk.misses" not in counters
+        assert counters["adapter.entity_cache.disk.misses"].value == 1
         assert not path.exists()
         clear_entity_store()
 
@@ -531,7 +543,7 @@ class TestEntityStore:
         dataset = make_dataset()
         adapter = EMAdapter("attr", "dbert", "mean", cache=False, entity_cache=True)
         first = adapter.transform(dataset)
-        for record in (tmp_path / "entity").glob("*.npz"):
+        for record in (tmp_path / "entity").glob("*.pack"):
             record.write_bytes(b"repro-chaos-garbage\x00\xff")
         clear_entity_store()
         with telemetry.recording() as rec:
@@ -548,8 +560,9 @@ class TestEntityStore:
         clear_entity_store()
         store = entity_store()
         with telemetry.recording() as rec:
-            for key in range(10):
-                store.save(key, {"vector": np.ones(8)})  # 64 bytes each
+            with store.writer() as pack:
+                for key in range(10):
+                    pack.save(key, {"vector": np.ones(8)})  # 64 bytes each
         assert store.resident_bytes <= 104
         counters = rec.metrics.counters
         assert counters["adapter.entity_cache.memory.evictions"].value >= 1
@@ -621,10 +634,11 @@ class TestEntityStore:
         def work(slot: int) -> None:
             try:
                 barrier.wait(timeout=30)
-                for i in range(400):
-                    key = (slot * 400 + i) % 60
-                    store.save(key, {"vector": np.full(8, float(slot))})
-                    store.load((key + 13) % 60)
+                with store.writer() as pack:
+                    for i in range(400):
+                        key = (slot * 400 + i) % 60
+                        pack.save(key, {"vector": np.full(8, float(slot))})
+                        store.load((key + 13) % 60)
             except Exception as exc:  # pragma: no cover - failure detail
                 errors.append(exc)
 
@@ -638,6 +652,197 @@ class TestEntityStore:
         loaded = store.load(59)
         assert loaded is None or loaded["vector"].shape == (8,)
         clear_entity_store()
+
+
+_PACK_CHILD = """
+import json, sys
+import numpy as np
+from repro import telemetry
+from repro.adapter import EMAdapter
+from repro.data.schema import EMDataset
+from tests.test_adapter import make_dataset
+
+full = make_dataset(12)
+start, stop, out = int(sys.argv[1]), int(sys.argv[2]), sys.argv[3]
+part = EMDataset(full.name, full.schema, [full[i] for i in range(start, stop)])
+adapter = EMAdapter("attr", "dbert", "mean", cache=False, entity_cache=True)
+with telemetry.recording() as rec:
+    np.save(out, adapter.transform(part))
+print(json.dumps({k: c.value for k, c in rec.metrics.counters.items()}))
+"""
+
+
+def _counter_values(rec) -> dict[str, float]:
+    return {name: c.value for name, c in rec.metrics.counters.items()}
+
+
+class TestEntityPacks:
+    """The disk tier's pack layout: one pack per transform call, reads
+    through the in-process index, damaged packs recomputed."""
+
+    @staticmethod
+    def _packs(root) -> list:
+        return sorted((root / "entity").glob("*.pack"))
+
+    def test_one_pack_per_transform_call(self, tmp_path, monkeypatch):
+        from repro import telemetry
+
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+        clear_entity_store()
+        adapter = EMAdapter("hybrid", "dbert", "mean", cache=False, entity_cache=True)
+        with telemetry.recording() as rec:
+            adapter.transform(make_dataset())  # several sequence positions
+        seen = _counter_values(rec)
+        assert seen["adapter.entity_cache.disk.packs_written"] == 1
+        assert (
+            seen["adapter.entity_cache.disk.records_written"]
+            == seen["adapter.entity_cache.disk.misses"]
+        )
+        assert len(self._packs(tmp_path)) == 1
+        clear_entity_store()
+
+    def test_all_hit_transform_writes_no_pack(self, tmp_path, monkeypatch):
+        from repro import telemetry
+
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+        clear_entity_store()
+        dataset = make_dataset()
+        adapter = EMAdapter("attr", "dbert", "mean", cache=False, entity_cache=True)
+        first = adapter.transform(dataset)
+        packs = self._packs(tmp_path)
+        for rebind in (False, True):  # memory hits, then pack reads
+            if rebind:
+                clear_entity_store()
+            with telemetry.recording() as rec:
+                again = adapter.transform(dataset)
+            np.testing.assert_array_equal(again, first)
+            seen = _counter_values(rec)
+            assert "adapter.entity_cache.disk.packs_written" not in seen
+            assert "adapter.entity_cache.disk.misses" not in seen
+            assert self._packs(tmp_path) == packs
+        assert seen["adapter.entity_cache.disk.hits"] > 0
+        clear_entity_store()
+
+    @pytest.mark.parametrize("damage", ["truncated", "table-flip"])
+    def test_damaged_pack_recomputed_bit_identically(
+        self, tmp_path, monkeypatch, damage
+    ):
+        """A truncated pack (size check) or one with a damaged table
+        (table CRC) is counted corrupt and unlinked, and its records
+        recompute to the same bits."""
+        from repro import telemetry
+
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+        clear_entity_store()
+        dataset = make_dataset()
+        adapter = EMAdapter("attr", "dbert", "mean", cache=False, entity_cache=True)
+        first = adapter.transform(dataset)
+        (path,) = self._packs(tmp_path)
+        raw = bytearray(path.read_bytes())
+        if damage == "truncated":
+            raw = raw[:-9]
+        else:
+            raw[40] ^= 0x20  # inside the JSON header
+        path.write_bytes(bytes(raw))
+        clear_entity_store()
+        with telemetry.recording() as rec:
+            again = adapter.transform(dataset)
+        np.testing.assert_array_equal(again, first)
+        seen = _counter_values(rec)
+        assert seen["adapter.entity_cache.disk.corrupt"] == 1
+        assert seen["adapter.entity_cache.disk.packs_written"] == 1
+        # The damaged pack was unlinked; the recomputed records form a
+        # healthy one (same pid, serial and keys here, so the same name).
+        assert self._packs(tmp_path) == [path]
+        clear_entity_store()
+        with telemetry.recording() as rec:
+            np.testing.assert_array_equal(adapter.transform(dataset), first)
+        seen = _counter_values(rec)
+        assert "adapter.entity_cache.disk.corrupt" not in seen
+        assert "adapter.entity_cache.disk.misses" not in seen
+        clear_entity_store()
+
+    def test_payload_damage_caught_by_record_crc(self, tmp_path, monkeypatch):
+        """A flipped payload byte leaves the tables intact, so the pack
+        is indexed; reading the record fails its CRC and drops the
+        pack instead of returning wrong bits."""
+        from repro import telemetry
+
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+        clear_entity_store()
+        with entity_store().writer() as pack:
+            pack.save(7, {"vector": np.ones(4)})
+        (path,) = self._packs(tmp_path)
+        raw = bytearray(path.read_bytes())
+        raw[-1] ^= 0x20
+        path.write_bytes(bytes(raw))
+        clear_entity_store()
+        with telemetry.recording() as rec:
+            assert entity_store().load(7) is None
+            assert entity_store().load(7) is None  # dropped from the index
+        seen = _counter_values(rec)
+        assert seen["adapter.entity_cache.disk.corrupt"] == 1
+        assert seen["adapter.entity_cache.disk.misses"] == 2
+        assert not path.exists()
+        clear_entity_store()
+
+    def test_legacy_npz_records_are_ignored(self, tmp_path, monkeypatch):
+        from repro import telemetry
+
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+        legacy = tmp_path / "entity" / "0000000000000007.npz"
+        legacy.parent.mkdir(parents=True)
+        np.savez(legacy, vector=np.ones(4))
+        clear_entity_store()
+        with telemetry.recording() as rec:
+            assert entity_store().load(7) is None
+        seen = _counter_values(rec)
+        assert seen["adapter.entity_cache.disk.misses"] == 1
+        assert "adapter.entity_cache.disk.corrupt" not in seen
+        assert legacy.exists()  # neither read nor unlinked
+        clear_entity_store()
+
+    def test_processes_share_one_cache_directory(self, tmp_path):
+        """Two processes write packs into one directory; a third reads
+        both processes' packs, computes nothing, and writes nothing."""
+        import json
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        import repro
+
+        env = dict(os.environ)
+        env["REPRO_CACHE_DIR"] = str(tmp_path / "cache")
+        env["PYTHONPATH"] = os.pathsep.join(
+            [str(Path(repro.__file__).parents[1]), str(Path(__file__).parents[1])]
+        )
+
+        def child(start: int, stop: int) -> tuple[dict, np.ndarray]:
+            out = tmp_path / f"{start}-{stop}.npy"
+            done = subprocess.run(
+                [sys.executable, "-c", _PACK_CHILD, str(start), str(stop), str(out)],
+                env=env, capture_output=True, text=True, timeout=300, check=True,
+            )
+            return json.loads(done.stdout.splitlines()[-1]), np.load(out)
+
+        first, _ = child(0, 6)
+        second, _ = child(6, 12)
+        assert first["adapter.entity_cache.disk.packs_written"] == 1
+        assert second["adapter.entity_cache.disk.packs_written"] == 1
+        writers = {p.name.split("-")[0] for p in self._packs(tmp_path / "cache")}
+        assert len(writers) == 2  # one pack per process, named by pid
+        reader, features = child(0, 12)
+        assert "adapter.entity_cache.disk.packs_written" not in reader
+        assert "adapter.entity_cache.disk.misses" not in reader
+        assert (
+            reader["adapter.entity_cache.disk.hits"]
+            == reader["adapter.entity_cache.memory.misses"]
+        )
+        expected = EMAdapter("attr", "dbert", "mean", cache=False).transform(
+            make_dataset(12)
+        )
+        np.testing.assert_array_equal(features, expected)
 
 
 class TestCanonicalEncode:
@@ -717,8 +922,11 @@ class TestCanonicalEncode:
                     )
                     cold = warmable.transform(dataset)
                     warm = warmable.transform(dataset)
+                    clear_entity_store()  # the next transform reads packs
+                    replay = warmable.transform(dataset)
                     assert np.array_equal(off, cold), (tokenizer, arch, combiner)
                     assert np.array_equal(cold, warm), (tokenizer, arch, combiner)
+                    assert np.array_equal(cold, replay), (tokenizer, arch, combiner)
         clear_entity_store()
 
     def test_store_identity_across_layers_modes(self, monkeypatch):
@@ -728,8 +936,10 @@ class TestCanonicalEncode:
             embedder = TransformerEmbedder("dbert", layers=layers)
             clear_entity_store()
             off = embedder.embed_pairs(couples)
-            cold = embedder.embed_pairs(couples, entity_store())
-            warm = embedder.embed_pairs(couples, entity_store())
+            with entity_store().writer() as pack:
+                cold = embedder.embed_pairs(couples, pack)
+            with entity_store().writer() as pack:
+                warm = embedder.embed_pairs(couples, pack)
             assert np.array_equal(off, cold)
             assert np.array_equal(cold, warm)
         clear_entity_store()

@@ -152,3 +152,20 @@ class TestClustering:
 
     def test_no_matches_no_clusters(self):
         assert cluster_matches([(0, 0)], [0], n_left=1) == []
+
+    def test_clusters_come_in_first_seen_order(self):
+        """Components are listed in the order their first node appears
+        in ``pairs`` (left before right within a pair), whatever order
+        the edges join them in."""
+        pairs = [(5, 9), (0, 1), (3, 4), (0, 4), (5, 2), (7, 7), (1, 1)]
+        predictions = [0, 1, 1, 1, 1, 0, 1]
+        assert cluster_matches(pairs, predictions, n_left=8) == [
+            {("L", 5), ("R", 2)},
+            {("L", 0), ("R", 1), ("L", 3), ("R", 4), ("L", 1)},
+        ]
+
+    def test_long_chain_is_one_cluster(self):
+        # L0-R0-L1-R1-... : a path that naive union-find makes deep.
+        pairs = [(i, i) for i in range(500)] + [(i + 1, i) for i in range(499)]
+        clusters = cluster_matches(pairs, [1] * len(pairs), n_left=500)
+        assert len(clusters) == 1 and len(clusters[0]) == 1000

@@ -557,7 +557,7 @@ class TestChaosHarness:
 class TestEntityStoreSeams:
     """Chaos coverage for the entity-embedding store's three seams
     (``adapter.entity.store.write``/``.replace``/``adapter.entity.read``),
-    mirroring the pair-cache drills above."""
+    mirroring the pair-cache drills above. Each applies once per pack."""
 
     def test_transient_write_fault_recovers(self, tmp_path, monkeypatch):
         from repro.adapter import clear_entity_store, entity_store
@@ -569,11 +569,14 @@ class TestEntityStoreSeams:
         )
         with faults.injecting(plan):
             with telemetry.recording() as rec:
-                entity_store().save(7, {"vector": np.ones(4)})
+                with entity_store().writer() as pack:
+                    pack.save(7, {"vector": np.ones(4)})
+                    pack.save(8, {"vector": np.zeros(4)})
         clear_entity_store()
         seen = counters(rec)
         assert seen["faults.injected.io"] == 1
         assert seen["faults.recovered.io"] == 1
+        assert seen["adapter.entity_cache.disk.packs_written"] == 1
         assert plan.unresolved == []
         assert list(tmp_path.rglob("*.tmp")) == []
         loaded = entity_store().load(7)  # replayed from the disk tier
@@ -589,10 +592,11 @@ class TestEntityStoreSeams:
         clear_entity_store()
         with faults.injecting(_exhausting("adapter.entity.store.write")):
             with pytest.raises(InjectedFaultError):
-                entity_store().save(7, {"vector": np.ones(4)})
+                with entity_store().writer() as pack:
+                    pack.save(7, {"vector": np.ones(4)})
         clear_entity_store()
         assert list(tmp_path.rglob("*.tmp")) == []
-        assert list((tmp_path / "entity").glob("*.npz")) == []
+        assert list((tmp_path / "entity").glob("*.pack")) == []
 
     def test_injected_corruption_settles(self, tmp_path, monkeypatch):
         from repro.adapter import (
@@ -623,4 +627,41 @@ class TestEntityStoreSeams:
         assert seen["adapter.entity_cache.disk.corrupt"] == 1
         assert seen["faults.injected.corrupt"] == 1
         assert seen["faults.recovered.corrupt"] == 1
+        assert plan.unresolved == []
+
+    @pytest.mark.parametrize("at", [1, 2], ids=["at-index", "at-payload"])
+    def test_injected_corruption_of_an_indexed_pack_settles(
+        self, tmp_path, monkeypatch, at
+    ):
+        """The read seam fires when a pack's tables are indexed (visit
+        1) and again when its payload is read (visit 2); a pack garbled
+        at either point is dropped, its records recompute to the same
+        bits, and ``injected == recovered + fatal``."""
+        from repro.adapter import EMAdapter, clear_entity_store
+        from tests.test_adapter import make_dataset
+
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+        clear_entity_store()
+        dataset = make_dataset()
+        adapter = EMAdapter(
+            "hybrid", "dbert", "mean", cache=False, entity_cache=True
+        )
+        original = adapter.transform(dataset)
+        clear_entity_store()
+
+        plan = FaultPlan(
+            specs=[FaultSpec("adapter.entity.read", "corrupt", at=at)]
+        )
+        with faults.injecting(plan):
+            with telemetry.recording() as rec:
+                recovered = adapter.transform(dataset)
+        clear_entity_store()
+
+        np.testing.assert_array_equal(recovered, original)
+        seen = counters(rec)
+        assert seen["adapter.entity_cache.disk.corrupt"] == 1
+        assert seen["faults.injected.corrupt"] == (
+            seen["faults.recovered.corrupt"] + seen.get("faults.fatal.corrupt", 0)
+        ) == 1
+        assert seen["adapter.entity_cache.disk.packs_written"] == 1
         assert plan.unresolved == []

@@ -80,6 +80,91 @@ class TestBinning:
             BinMapper(n_bins=1000)
 
 
+def _reference_bins(mapper: BinMapper, X: np.ndarray) -> np.ndarray:
+    """The per-column loop the one-pass transform replaced."""
+    binned = np.empty(X.shape, dtype=np.uint8)
+    for col in range(X.shape[1]):
+        values = X[:, col]
+        edges = mapper.edges_[col]
+        if len(edges) == 0:
+            bins = np.ones(len(values), dtype=np.int64)
+        else:
+            bins = np.searchsorted(edges, values, side="right") + 1
+        bins[np.isnan(values)] = 0
+        binned[:, col] = bins.astype(np.uint8)
+    return binned
+
+
+class TestOnePassBinning:
+    """``BinMapper.transform`` bins every column at once; it must equal
+    the per-column ``searchsorted`` loop bit for bit."""
+
+    SPECIAL = np.array([np.nan, np.inf, -np.inf, 0.0, -0.0])
+
+    @staticmethod
+    def _fit_data(rng, rows: int, cols: int) -> np.ndarray:
+        X = rng.normal(size=(rows, cols))
+        X[:, 0] = 2.5  # constant: no interior edges
+        X[: rows // 2, 1] = np.nan  # half missing
+        X[:, 2] = np.round(X[:, 2])  # few distinct values, ties on edges
+        return X
+
+    @given(
+        st.integers(0, 10_000),
+        st.integers(1, 40),
+        st.integers(3, 12),
+        st.sampled_from([4, 16, 64, 256]),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_equals_per_column_searchsorted(self, seed, rows, cols, n_bins):
+        rng = np.random.default_rng(seed)
+        mapper = BinMapper(n_bins=n_bins).fit(self._fit_data(rng, 60, cols))
+        X = rng.normal(size=(rows, cols))
+        # Plant NaN, +-inf, signed zeros and exact edge values.
+        special = rng.random(X.shape) < 0.2
+        X[special] = rng.choice(self.SPECIAL, size=int(special.sum()))
+        for col in range(cols):
+            edges = mapper.edges_[col]
+            if len(edges):
+                X[rng.integers(0, rows), col] = edges[rng.integers(0, len(edges))]
+        np.testing.assert_array_equal(mapper.transform(X), _reference_bins(mapper, X))
+
+    def test_edges_and_infinities_bin_like_searchsorted(self):
+        X_fit = np.column_stack([np.arange(20.0), np.full(20, 7.0)])
+        mapper = BinMapper(n_bins=8).fit(X_fit)
+        edges = mapper.edges_[0]
+        probes = np.concatenate([edges, edges - 1e-9, self.SPECIAL, [1e300]])
+        X = np.column_stack([probes, probes])
+        binned = mapper.transform(X)
+        np.testing.assert_array_equal(binned, _reference_bins(mapper, X))
+        assert binned[len(edges) * 2, 0] == 0  # NaN
+        assert binned[len(edges) * 2 + 1, 0] == len(edges) + 1  # +inf
+        assert (binned[~np.isnan(probes), 1] == 1).all()  # empty-edge column
+
+    def test_row_blocks_and_fit_sized_matrices(self, monkeypatch):
+        import repro.ml._binning as binning
+
+        rng = np.random.default_rng(3)
+        X = self._fit_data(rng, 300, 40)
+        mapper = BinMapper(n_bins=64).fit(X)
+        whole = mapper.transform(X)
+        np.testing.assert_array_equal(whole, _reference_bins(mapper, X))
+        monkeypatch.setattr(binning, "_BLOCK_CELLS", 7)  # many small blocks
+        np.testing.assert_array_equal(mapper.transform(X), whole)
+
+    def test_pickles_without_the_edge_table(self):
+        import pickle
+
+        rng = np.random.default_rng(4)
+        X = rng.normal(size=(50, 5))
+        mapper = BinMapper(n_bins=16).fit(X)
+        binned = mapper.transform(X)
+        assert "_table" in vars(mapper)
+        clone = pickle.loads(pickle.dumps(mapper))
+        assert "_table" not in vars(clone)  # rebuilt on first use
+        np.testing.assert_array_equal(clone.transform(X), binned)
+
+
 class TestMetricProperties:
     @given(st.integers(0, 10_000))
     @settings(max_examples=40)
