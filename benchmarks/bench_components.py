@@ -55,15 +55,9 @@ def test_embedding_throughput(_suites):
 
 
 def test_adapter_transform(_suites):
-    """Full hybrid+albert adapter transform + cache replay (registry)."""
+    """Full hybrid+albert adapter transform, uncached (registry)."""
     result = _run("adapter_transform")
     assert result.detail["output_dim"] > 0
-    # The cache-replay leg is exactly one seeding miss plus one hit.
-    assert result.metrics["adapter.cache.memory.misses"] == 1
-    assert result.metrics["adapter.cache.memory.hits"] == 1
-    assert result.metrics["cache_replay_seconds"] < result.metrics[
-        "uncached_seconds"
-    ]
 
 
 def test_gbm_training(_suites):

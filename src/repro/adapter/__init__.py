@@ -29,7 +29,7 @@ from repro.adapter.features import (
     Word2VecFeaturizer,
 )
 from repro.adapter.local_embedder import LocalWord2VecEmbedder
-from repro.adapter.pipeline import EMAdapter, clear_adapter_cache
+from repro.adapter.pipeline import EMAdapter
 from repro.adapter.tokenizer import (
     TOKENIZER_NAMES,
     AttributeTokenizer,
@@ -55,7 +55,6 @@ __all__ = [
     "UnstructuredTokenizer",
     "Word2VecFeaturizer",
     "balance_dataset",
-    "clear_adapter_cache",
     "clear_entity_store",
     "entity_store",
     "make_combiner",

@@ -72,7 +72,6 @@ import numpy as np
 from repro import faults, telemetry
 
 __all__ = [
-    "ByteBudgetLRU",
     "EntityStore",
     "PackWriter",
     "clear_entity_store",
@@ -112,11 +111,11 @@ _DAMAGE = (ValueError, KeyError, TypeError, IndexError, struct.error)
 class ByteBudgetLRU:
     """An LRU mapping bounded by the byte size of its values.
 
-    Used for both the adapter matrix cache and the entity store's memory
-    tier. The budget is resolved lazily through ``budget_fn`` (a
-    :mod:`repro.config` reader) so each rebound instance re-reads the
-    environment knob — tests and workers see the current setting, and
-    the deterministic core itself never touches ``os.environ``.
+    The entity store's memory tier. The budget is resolved lazily
+    through ``budget_fn`` (a :mod:`repro.config` reader) so each rebound
+    instance re-reads the environment knob — tests and workers see the
+    current setting, and the deterministic core itself never touches
+    ``os.environ``.
 
     Eviction changes only *what is resident*, never what is computed:
     every entry is content-addressed and deterministic, so a re-miss

@@ -55,8 +55,8 @@ def cache_root() -> Path | None:
 
     Reads ``REPRO_CACHE_DIR`` (default ``.repro_cache``); the values
     ``off``/``none``/empty disable disk caching entirely. This is the
-    single sanctioned read of that knob — the experiment and adapter
-    cache layers derive their directories from here so that ambient
+    single sanctioned read of that knob — the experiment cache and the
+    entity store derive their directories from here so that ambient
     environment access stays out of the deterministic core (rule
     DET003), and the knob is resolved identically everywhere.
     """
@@ -80,11 +80,11 @@ def stable_digest(*parts: object) -> int:
     """Hash a tuple of printable parts into a 64-bit integer, stably.
 
     Cache *identity* needs more collision headroom than RNG sub-seeding:
-    the adapter disk cache fingerprints arbitrary pair-id subsets (e.g.
-    active-learning rounds), where a 32-bit CRC reaches birthday-collision
-    odds after a few tens of thousands of distinct subsets. blake2b at 64
-    bits pushes that to billions. :func:`stable_hash` stays CRC32 so every
-    seeded RNG stream is unchanged.
+    the entity store keys every distinct entity text and couple it ever
+    encodes, where a 32-bit CRC reaches birthday-collision odds after a
+    few tens of thousands of keys. blake2b at 64 bits pushes that to
+    billions. :func:`stable_hash` stays CRC32 so every seeded RNG stream
+    is unchanged.
     """
     text = "␟".join(repr(p) for p in parts)
     raw = hashlib.blake2b(text.encode("utf-8"), digest_size=8).digest()
@@ -118,9 +118,9 @@ DATA_VERSION = 3
 #: token count and encoded unpadded, so each sequence's bits depend only
 #: on its own content (BLAS GEMM bits vary with matrix shape, so the v1
 #: mixed-length padded batches were not batch-composition invariant).
-#: Folded into every embedding-derived cache key (adapter matrices,
-#: entity store, experiment results) so artifacts encoded under an
-#: older discipline are never mixed with new ones.
+#: Folded into every embedding-derived cache key (entity store,
+#: experiment results) so artifacts encoded under an older discipline
+#: are never mixed with new ones.
 ENCODE_VERSION = 2
 
 
@@ -142,19 +142,11 @@ def _budget_bytes(name: str, default_mb: float) -> int | None:
     return int(value * 1024 * 1024)
 
 
-def adapter_cache_budget_bytes() -> int | None:
-    """Byte budget of the in-memory adapter matrix cache.
-
-    Reads ``REPRO_ADAPTER_CACHE_MB`` (default 512 MiB). Like
-    :func:`cache_root`, this is the sanctioned reader of the knob so the
-    deterministic core never touches the environment (DET003).
-    """
-    return _budget_bytes("REPRO_ADAPTER_CACHE_MB", 512.0)
-
-
 def entity_cache_budget_bytes() -> int | None:
     """Byte budget of the in-memory entity-embedding store tier.
 
-    Reads ``REPRO_ENTITY_CACHE_MB`` (default 256 MiB).
+    Reads ``REPRO_ENTITY_CACHE_MB`` (default 256 MiB). Like
+    :func:`cache_root`, this is the sanctioned reader of the knob so the
+    deterministic core never touches the environment (DET003).
     """
     return _budget_bytes("REPRO_ENTITY_CACHE_MB", 256.0)

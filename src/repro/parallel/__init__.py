@@ -10,8 +10,9 @@ to ``--jobs 1``, just sooner.
 * :class:`GridSpec` / :class:`Cell` — the work model: a table's cells in
   the exact order the serial code evaluates them (duplicates collapsed);
 * :class:`ParallelRunner` — the process-pool executor: workers
-  coordinate through the on-disk result/adapter caches (atomic renames)
-  and ship records plus telemetry snapshots home over the result pipe;
+  coordinate through the on-disk result cache and entity store (atomic
+  renames) and ship records plus telemetry snapshots home over the
+  result pipe;
 * :func:`run_table_parallel` — one-call table rendering, used by the
   CLI's ``--jobs`` flag;
 * :func:`run_chaos` — the crash-safety drill behind ``repro-em chaos``:

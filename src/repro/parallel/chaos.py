@@ -35,7 +35,7 @@ from pathlib import Path
 from typing import Iterator
 
 from repro import faults, telemetry
-from repro.adapter import clear_adapter_cache, clear_entity_store
+from repro.adapter import clear_entity_store
 from repro.config import rng_for
 from repro.experiments.config import ExperimentConfig
 from repro.faults import FaultPlan, FaultSpec
@@ -151,7 +151,7 @@ class ChaosReport:
 
 @contextmanager
 def _cache_env(path: Path) -> Iterator[None]:
-    """Point ``REPRO_CACHE_DIR`` (runner + adapter caches) at ``path``."""
+    """Point ``REPRO_CACHE_DIR`` (runner cache + entity store) at ``path``."""
     previous = os.environ.get("REPRO_CACHE_DIR")
     os.environ["REPRO_CACHE_DIR"] = str(path)
     try:
@@ -172,13 +172,11 @@ def _run_leg(
 ) -> str:
     """Render the table once against ``cache_dir``, memory caches cold.
 
-    Clearing the adapter's process-level caches — the matrix memo *and*
-    the entity store's memory tier (fresh worker pools and a fresh
-    :class:`~repro.experiments.runner.ExperimentRunner` cover the rest)
-    — is what turns a second leg over the same directory into a
+    Clearing the entity store's memory tier (fresh worker pools and a
+    fresh :class:`~repro.experiments.runner.ExperimentRunner` cover the
+    rest) is what turns a second leg over the same directory into a
     disk-replay — the seam the read-corruption faults need.
     """
-    clear_adapter_cache()
     clear_entity_store()
     with _cache_env(cache_dir):
         runner = ParallelRunner(config, jobs=jobs)

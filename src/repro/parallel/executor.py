@@ -10,12 +10,12 @@ reorders wall-clock time, never results.
 
 Workers coordinate through the existing on-disk caches: each worker's
 :class:`~repro.experiments.runner.ExperimentRunner` persists results
-under ``.repro_cache/`` and the adapter persists feature matrices under
-``.repro_cache/adapter/``, both via atomic same-directory renames, so
+under ``.repro_cache/`` and the entity store publishes packs under
+``.repro_cache/entity/``, both via atomic same-directory renames, so
 two workers computing the same key race benignly (last rename wins,
-both files are complete). Results additionally ship back over the
-result pipe, so the merged table renders from memory even with the disk
-cache off.
+both files are complete; pack names are unique per process). Results
+additionally ship back over the result pipe, so the merged table
+renders from memory even with the disk cache off.
 
 When telemetry is recording in the parent, each worker records its
 cells into private recorders and ships the snapshots home, where they
@@ -86,14 +86,13 @@ def _init_worker(
 ) -> None:
     global _WORKER_RUNNER
     _WORKER_RUNNER = ExperimentRunner(config)
-    # With fork the worker inherits whatever adapter matrices and entity
-    # embeddings the parent already memoized; dropping them (FORK001)
-    # keeps worker memory flat and every cache fill attributable to the
-    # worker's own cells. The entries are content-addressed, so this
-    # costs recomputation only.
-    from repro.adapter import clear_adapter_cache, clear_entity_store
+    # With fork the worker inherits whatever entity embeddings the parent
+    # already holds in memory; dropping them (FORK001) keeps worker
+    # memory flat and every cache fill attributable to the worker's own
+    # cells. The entries are content-addressed, so this costs
+    # recomputation (or a disk read) only.
+    from repro.adapter import clear_entity_store
 
-    clear_adapter_cache()
     clear_entity_store()
     # Chaos runs ship the parent's fault plan into every worker (with
     # fork the module state is inherited anyway; with spawn this is the

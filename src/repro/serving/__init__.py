@@ -9,11 +9,10 @@ over HTTP using only the standard library.
 Three pieces:
 
 * :class:`MatchEngine` (:mod:`repro.serving.engine`) — owns the loaded
-  model, the request schema, and a serving-configured adapter
-  (``cache=False, entity_cache=True``: the pair-matrix memo keys on
-  dataset pair-id fingerprints and would collide across synthetic
-  requests, while the entity store is content-addressed and therefore
-  safe and warm). Supports atomic in-place model reload.
+  model and the request schema, and serves the model's adapter as
+  loaded: its only cache, the entity store, is content-addressed and
+  therefore safe to share across requests. Supports atomic in-place
+  model reload.
 * :class:`MicroBatcher` (:mod:`repro.serving.batcher`) — a bounded
   queue drained by one worker thread that fuses concurrently waiting
   requests into a single vectorized transform + predict call. Because

@@ -8,20 +8,14 @@ the request schema from the dataset registry without generating any
 data, and answers ``match_pairs`` calls with probabilities and
 threshold-tuned labels.
 
-Two serving-specific decisions live here:
+The fitted pipeline's adapter is served as loaded: its only cache is
+the content-addressed entity store, so each request reuses the entity
+encodings that earlier requests computed.
 
-* **Adapter reconfiguration.** The fitted pipeline's adapter may have
-  the pair-matrix memo enabled; that cache keys on dataset pair-id
-  fingerprints, which synthetic per-request ids would collide on. The
-  engine therefore rebuilds the adapter from the *same component
-  instances* (tokenizer, embedder, combiner — so encoder identity and
-  content digests are unchanged) with ``cache=False,
-  entity_cache=True``: no matrix memo, full reuse of the
-  content-addressed entity store across requests.
-* **Atomic reload.** ``reload()`` loads the file fresh and swaps the
-  installed model under a lock only after the load fully succeeded, so
-  a corrupt or incompatible file on disk can never take down a healthy
-  daemon — the old model keeps serving and the caller gets the error.
+``reload()`` loads the file fresh and swaps the installed model under a
+lock only after the load fully succeeded, so a corrupt or incompatible
+file on disk can never take down a healthy daemon — the old model keeps
+serving and the caller gets the error.
 """
 
 from __future__ import annotations
@@ -32,7 +26,6 @@ from pathlib import Path
 import numpy as np
 
 from repro import faults, telemetry
-from repro.adapter import EMAdapter
 from repro.data.benchmark import dataset_spec
 from repro.data.schema import EMDataset, PairRecord
 from repro.persistence import load_model
@@ -96,15 +89,8 @@ class MatchEngine:
                 f"{self._model_path} does not hold a servable pipeline "
                 f"(got {type(pipeline).__name__}; need adapter + automl)"
             )
-        serving_adapter = EMAdapter(
-            adapter.tokenizer,
-            adapter.embedder,
-            adapter.combiner,
-            cache=False,
-            entity_cache=True,
-        )
         with self._lock:
-            self._adapter = serving_adapter
+            self._adapter = adapter
             self._automl = automl
             self.generation += 1
         telemetry.gauge("serving.model.generation").set(self.generation)

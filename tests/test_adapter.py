@@ -19,7 +19,6 @@ from repro.adapter import (
     TransformerEmbedder,
     UnstructuredTokenizer,
     Word2VecFeaturizer,
-    clear_adapter_cache,
     clear_entity_store,
     entity_store,
     make_combiner,
@@ -172,32 +171,16 @@ class TestCombiners:
 
 class TestEMAdapter:
     def test_transform_shape_mean(self):
-        clear_adapter_cache()
         adapter = EMAdapter("attr", "dbert", "mean")
         dataset = make_dataset()
         out = adapter.transform(dataset)
         assert out.shape == (len(dataset), adapter.output_dim(dataset))
 
     def test_transform_shape_concat(self):
-        clear_adapter_cache()
         adapter = EMAdapter("attr", "dbert", "concat")
         dataset = make_dataset()
         out = adapter.transform(dataset)
         assert out.shape[1] == adapter.embedder.output_dim * 3
-
-    def test_cache_hit_returns_same_array(self):
-        clear_adapter_cache()
-        adapter = EMAdapter("attr", "dbert", "mean")
-        dataset = make_dataset()
-        first = adapter.transform(dataset)
-        second = adapter.transform(dataset)
-        assert first is second
-
-    def test_cache_disabled(self):
-        clear_adapter_cache()
-        adapter = EMAdapter("attr", "dbert", "mean", cache=False)
-        dataset = make_dataset()
-        assert adapter.transform(dataset) is not adapter.transform(dataset)
 
     def test_name_is_stable(self):
         adapter = EMAdapter("hybrid", "albert", "mean")
@@ -212,7 +195,6 @@ class TestEMAdapter:
     def test_tokenize_hoist_is_bit_identical(self):
         """transform's tokenize-once-and-transpose path must match the
         per-position re-tokenization reference exactly."""
-        clear_adapter_cache()
         adapter = EMAdapter("hybrid", "dbert", "mean", cache=False)
         dataset = make_dataset()
         n_sequences = adapter.tokenizer.sequence_count(dataset.schema)
@@ -227,6 +209,33 @@ class TestEMAdapter:
             [adapter.embedder.embed_pairs(c) for c in couples_by_position]
         )
         assert np.array_equal(adapter.transform(dataset), reference)
+
+    def test_cache_false_disables_entity_store_by_default(self):
+        from repro import telemetry
+
+        adapter = EMAdapter("attr", "dbert", "mean", cache=False)
+        assert adapter.entity_cache is False
+        with telemetry.recording() as rec:
+            adapter.transform(make_dataset())
+        assert not any(
+            name.startswith("adapter.entity_cache")
+            for name in rec.metrics.counters
+        )
+
+    def test_local_embedder_bypasses_entity_store(self, tiny_sda, monkeypatch):
+        from repro import telemetry
+        from repro.adapter import LocalWord2VecEmbedder
+
+        monkeypatch.setenv("REPRO_CACHE_DIR", "off")
+        local = LocalWord2VecEmbedder.from_dataset(tiny_sda, dim=8, epochs=1)
+        adapter = EMAdapter("attr", local, "mean")
+        with telemetry.recording() as rec:
+            out = adapter.transform(tiny_sda)
+        assert out.shape[0] == len(tiny_sda)
+        assert not any(
+            name.startswith("adapter.entity_cache")
+            for name in rec.metrics.counters
+        )
 
 
 class TestNoAdapterFeaturizers:
@@ -301,180 +310,42 @@ class TestAugmentation:
 
 
 class TestAdapterCacheKeying:
-    def test_equal_length_subsets_do_not_collide(self):
-        clear_adapter_cache()
-        adapter = EMAdapter("attr", "dbert", "mean")
+    def test_equal_length_subsets_do_not_collide(self, monkeypatch):
+        """Features are a function of pair content. One default adapter
+        transforms two inputs in turn, and each result must equal a cold
+        ``cache=False`` transform: equal-length subsets of one dataset,
+        then two draws with one name, schema and pair ids but different
+        entity text."""
+        monkeypatch.setenv("REPRO_CACHE_DIR", "off")
         dataset = make_dataset(8)
-        first = adapter.transform(dataset.subset([0, 1, 2]))
-        second = adapter.transform(dataset.subset([3, 4, 5]))
-        assert first.shape == second.shape
-        assert not np.allclose(first, second)
-
-
-class TestAdapterDiskCache:
-    """Regression tests for the atomic .npy spill (mkstemp + rename)."""
-
-    def _transform(self, tmp_path, dataset):
-        adapter = EMAdapter("attr", "dbert", "mean")
-        return adapter.transform(dataset), tmp_path / "adapter"
-
-    def test_transform_leaves_only_npy(self, tmp_path, monkeypatch):
-        """A successful spill leaves exactly one .npy and zero .tmp files
-        (np.save used to re-append .npy to the mkstemp name, orphaning a
-        zero-byte temp file on every store)."""
-        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
-        clear_adapter_cache()
-        features, disk_dir = self._transform(tmp_path, make_dataset())
-        clear_adapter_cache()
-        names = sorted(p.name for p in disk_dir.iterdir())
-        assert len(names) == 1 and names[0].endswith(".npy")
-        np.testing.assert_array_equal(np.load(disk_dir / names[0]), features)
-
-    def test_failed_save_leaks_nothing(self, tmp_path, monkeypatch):
-        """A save that dies mid-write (full disk, broken dtype) must not
-        leave a temp file behind in the shared cache directory."""
-        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
-        clear_adapter_cache()
-
-        def explode(*args, **kwargs):
-            raise OSError("No space left on device")
-
-        monkeypatch.setattr("repro.adapter.pipeline.np.save", explode)
-        with pytest.raises(OSError):
-            self._transform(tmp_path, make_dataset())
-        clear_adapter_cache()
-        assert list((tmp_path / "adapter").iterdir()) == []
-
-    def test_corrupt_disk_file_recomputed(self, tmp_path, monkeypatch):
-        """A truncated/garbage cache file counts as corrupt (not a plain
-        miss), is recomputed, and is overwritten with a valid matrix."""
-        from repro import telemetry
-
-        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
-        clear_adapter_cache()
-        dataset = make_dataset()
-        features, disk_dir = self._transform(tmp_path, dataset)
-        (cached,) = disk_dir.iterdir()
-        cached.write_bytes(b"not a numpy file")
-        clear_adapter_cache()
-
-        with telemetry.recording() as rec:
-            again, _ = self._transform(tmp_path, dataset)
-        clear_adapter_cache()
-        assert rec.metrics.counters["adapter.cache.disk.corrupt"].value == 1
-        assert "adapter.cache.disk.misses" not in rec.metrics.counters
-        np.testing.assert_array_equal(again, features)
-        np.testing.assert_array_equal(np.load(cached), features)
-
-
-class TestAdapterCacheBugfixes:
-    """The three cache bugfixes: digest filenames, versioned memory
-    keys, and bounded (byte-identical) eviction."""
-
-    def test_slash_and_dash_dataset_names_do_not_collide_on_disk(
-        self, tmp_path, monkeypatch
-    ):
-        """Legacy filenames joined raw key parts and substituted "/",
-        so "a/b" and "a-b" mapped to one file; digest names keep them
-        apart."""
-        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
-        clear_adapter_cache()
-        pairs = list(make_dataset())
-        adapter = EMAdapter("attr", "dbert", "mean")
-        adapter.transform(EMDataset("a/b", SCHEMA, pairs))
-        adapter.transform(EMDataset("a-b", SCHEMA, pairs))
-        clear_adapter_cache()
-        assert len(list((tmp_path / "adapter").glob("*.npy"))) == 2
-
-    def test_memory_key_includes_data_version(self, monkeypatch):
-        """A mid-run DATA_VERSION upgrade must miss the memory tier
-        (it used to serve the stale matrix: only the disk name was
-        versioned)."""
-        monkeypatch.setenv("REPRO_CACHE_DIR", "off")
-        clear_adapter_cache()
-        dataset = make_dataset()
-        adapter = EMAdapter("attr", "dbert", "mean")
-        first = adapter.transform(dataset)
-        assert adapter.transform(dataset) is first
-        monkeypatch.setattr("repro.config.DATA_VERSION", 99)
-        second = adapter.transform(dataset)
-        assert second is not first
-        np.testing.assert_array_equal(second, first)
-        clear_adapter_cache()
-
-    def test_legacy_underscore_files_are_ignored(self, tmp_path, monkeypatch):
-        """Old-format "v<N>_*"-named spills hold pre-ENCODE_VERSION
-        bits; they must be left untouched and never read."""
-        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
-        clear_adapter_cache()
-        legacy_dir = tmp_path / "adapter"
-        legacy_dir.mkdir(parents=True)
-        legacy = legacy_dir / "v3_toy_6_synthetic_42_attr+dbert-first_last+mean.npy"
-        legacy.write_bytes(b"stale bits from an old release")
-        out = EMAdapter("attr", "dbert", "mean").transform(make_dataset())
-        clear_adapter_cache()
-        assert legacy.read_bytes() == b"stale bits from an old release"
-        fresh = [f for f in legacy_dir.glob("*.npy") if f != legacy]
-        assert len(fresh) == 1
-        np.testing.assert_array_equal(np.load(fresh[0]), out)
-
-    def test_eviction_is_byte_identical_and_gauged(self, monkeypatch):
-        from repro import telemetry
-
-        monkeypatch.setenv("REPRO_CACHE_DIR", "off")
-        # ~10-byte budget: every insert evicts its predecessor (the
-        # newest entry is always kept).
-        monkeypatch.setenv("REPRO_ADAPTER_CACHE_MB", "0.00001")
-        clear_adapter_cache()
-        dataset = make_dataset()
-        other = EMDataset("other", SCHEMA, list(make_dataset(4)))
-        adapter = EMAdapter("attr", "dbert", "mean")
-        with telemetry.recording() as rec:
-            first = adapter.transform(dataset)
-            evictor = adapter.transform(other)
-            again = adapter.transform(dataset)
-        clear_adapter_cache()
-        assert again is not first  # evicted, so recomputed...
-        np.testing.assert_array_equal(again, first)  # ...byte-identically
-        counters = rec.metrics.counters
-        assert counters["adapter.cache.memory.evictions"].value >= 2
-        gauge = rec.metrics.gauges["adapter.cache.memory.resident_bytes"]
-        assert gauge.value == again.nbytes
-        assert evictor.nbytes != again.nbytes or True  # shapes may differ
-
-    def test_cache_false_disables_entity_store_by_default(self):
-        from repro import telemetry
-
-        adapter = EMAdapter("attr", "dbert", "mean", cache=False)
-        assert adapter.entity_cache is False
-        with telemetry.recording() as rec:
-            adapter.transform(make_dataset())
-        assert not any(
-            name.startswith("adapter.entity_cache")
-            for name in rec.metrics.counters
+        redrawn = EMDataset(
+            dataset.name,
+            dataset.schema,
+            [
+                PairRecord(
+                    pair.pair_id,
+                    dict(pair.left, title=f"{pair.left['title']} mark ii"),
+                    pair.right,
+                    pair.label,
+                )
+                for pair in dataset
+            ],
         )
-
-    def test_local_embedder_bypasses_entity_store(self, tiny_sda, monkeypatch):
-        from repro import telemetry
-        from repro.adapter import LocalWord2VecEmbedder
-
-        monkeypatch.setenv("REPRO_CACHE_DIR", "off")
-        clear_adapter_cache()
-        local = LocalWord2VecEmbedder.from_dataset(tiny_sda, dim=8, epochs=1)
-        adapter = EMAdapter("attr", local, "mean")
-        with telemetry.recording() as rec:
-            out = adapter.transform(tiny_sda)
-        clear_adapter_cache()
-        assert out.shape[0] == len(tiny_sda)
-        assert not any(
-            name.startswith("adapter.entity_cache")
-            for name in rec.metrics.counters
-        )
+        adapter = EMAdapter("attr", "dbert", "mean")
+        cold = EMAdapter("attr", "dbert", "mean", cache=False)
+        for inputs in (
+            (dataset.subset([0, 1, 2]), dataset.subset([3, 4, 5])),
+            (dataset, redrawn),
+        ):
+            first, second = (adapter.transform(part) for part in inputs)
+            np.testing.assert_array_equal(first, cold.transform(inputs[0]))
+            np.testing.assert_array_equal(second, cold.transform(inputs[1]))
+            assert not np.allclose(first, second)
 
 
 class TestEntityStore:
-    """The content-addressed entity-embedding store: tiers, recovery
-    parity with the pair cache, and bounded memory."""
+    """The content-addressed entity-embedding store: tiers, corrupt-pack
+    recovery, and bounded memory."""
 
     def test_memory_round_trip(self, monkeypatch):
         monkeypatch.setenv("REPRO_CACHE_DIR", "off")
@@ -512,9 +383,8 @@ class TestEntityStore:
         "payload", [b"repro-chaos-garbage\x00\xff", b""], ids=["garbage", "zero-byte"]
     )
     def test_corrupt_record_recovered(self, tmp_path, monkeypatch, payload):
-        """Parity with the pair-cache corruption tests: a garbled or
-        zero-byte pack counts as corrupt, is unlinked, and its records
-        miss so the caller recomputes them."""
+        """A garbled or zero-byte pack counts as corrupt, is unlinked,
+        and its records miss so the caller recomputes them."""
         from repro import telemetry
 
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
@@ -539,7 +409,6 @@ class TestEntityStore:
 
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
         clear_entity_store()
-        clear_adapter_cache()
         dataset = make_dataset()
         adapter = EMAdapter("attr", "dbert", "mean", cache=False, entity_cache=True)
         first = adapter.transform(dataset)
@@ -723,13 +592,14 @@ class TestEntityPacks:
         assert seen["adapter.entity_cache.disk.hits"] > 0
         clear_entity_store()
 
-    @pytest.mark.parametrize("damage", ["truncated", "table-flip"])
+    @pytest.mark.parametrize("damage", ["truncated", "table-flip", "empty"])
     def test_damaged_pack_recomputed_bit_identically(
         self, tmp_path, monkeypatch, damage
     ):
-        """A truncated pack (size check) or one with a damaged table
-        (table CRC) is counted corrupt and unlinked, and its records
-        recompute to the same bits."""
+        """A truncated pack (size check), one with a damaged table
+        (table CRC) or a zero-byte one (no prefix to unpack) is counted
+        corrupt and unlinked, and its records recompute to the same
+        bits."""
         from repro import telemetry
 
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
@@ -741,6 +611,8 @@ class TestEntityPacks:
         raw = bytearray(path.read_bytes())
         if damage == "truncated":
             raw = raw[:-9]
+        elif damage == "empty":
+            raw = bytearray()
         else:
             raw[40] ^= 0x20  # inside the JSON header
         path.write_bytes(bytes(raw))

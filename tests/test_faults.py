@@ -1,8 +1,8 @@
 """Tests for ``repro.faults``: plan/spec scheduling semantics, the
-retry policy, every wired injection seam (kill-mid-write at the four
-atomic-write sites, corrupt-cache recovery in the adapter/runner/
-analysis caches, budget exhaustion mid-trial, estimator failures), and
-the ``run_chaos`` harness behind ``repro-em chaos``."""
+retry policy, every wired injection seam (kill-mid-write at the
+atomic-write sites, corrupt-cache recovery in the entity store and the
+runner/analysis caches, budget exhaustion mid-trial, estimator
+failures), and the ``run_chaos`` harness behind ``repro-em chaos``."""
 
 from __future__ import annotations
 
@@ -39,8 +39,8 @@ def counters(rec) -> dict[str, float]:
 class TestCheckpointDisabled:
     def test_checkpoint_and_mark_recovered_are_noops(self):
         assert faults.active() is None
-        faults.checkpoint("adapter.cache.read", path="/nowhere")
-        faults.mark_recovered("adapter.cache.read", path="/nowhere")
+        faults.checkpoint("adapter.entity.read", path="/nowhere")
+        faults.mark_recovered("adapter.entity.read", path="/nowhere")
 
     def test_injecting_restores_previous_state(self):
         outer = FaultPlan(plan_id=1)
@@ -68,7 +68,7 @@ class TestFaultSpec:
 
     def test_rejects_kind_incompatible_with_cataloged_point(self):
         with pytest.raises(ValueError, match="supports kind"):
-            FaultSpec(point="adapter.cache.read", kind="io")
+            FaultSpec(point="adapter.entity.read", kind="io")
 
     @pytest.mark.parametrize("field,value", [("at", 0), ("times", 0)])
     def test_rejects_non_positive_schedule(self, field, value):
@@ -245,20 +245,6 @@ class TestKillMidWrite:
         assert counters(rec)["faults.injected.io"] == DEFAULT_ATTEMPTS
         assert counters(rec)["faults.fatal.io"] == DEFAULT_ATTEMPTS
 
-    def test_adapter_store_write(self, tmp_path, monkeypatch):
-        from repro.adapter import EMAdapter, clear_adapter_cache
-        from tests.test_adapter import make_dataset
-
-        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
-        clear_adapter_cache()
-        adapter = EMAdapter("attr", "dbert", "mean")
-        with faults.injecting(_exhausting("adapter.cache.store.write")):
-            with pytest.raises(InjectedFaultError):
-                adapter.transform(make_dataset())
-        clear_adapter_cache()
-        assert list(tmp_path.rglob("*.tmp")) == []
-        assert list((tmp_path / "adapter").glob("*.npy")) == []
-
     def test_persistence_save_replace(self, tmp_path):
         from repro.persistence import load_model, save_model
 
@@ -292,52 +278,6 @@ class TestKillMidWrite:
 
 
 class TestCorruptRecovery:
-    def test_adapter_recomputes_and_repairs(self, tmp_path, monkeypatch):
-        from repro.adapter import EMAdapter, clear_adapter_cache
-        from tests.test_adapter import make_dataset
-
-        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
-        clear_adapter_cache()
-        dataset = make_dataset()
-        adapter = EMAdapter("attr", "dbert", "mean")
-        original = adapter.transform(dataset)
-        clear_adapter_cache()  # force the next transform through disk
-
-        plan = FaultPlan(specs=[FaultSpec("adapter.cache.read", "corrupt")])
-        with faults.injecting(plan):
-            with telemetry.recording() as rec:
-                recovered = adapter.transform(dataset)
-        clear_adapter_cache()
-
-        np.testing.assert_array_equal(recovered, original)
-        seen = counters(rec)
-        assert seen["adapter.cache.disk.corrupt"] == 1
-        assert seen["faults.injected.corrupt"] == 1
-        assert seen["faults.recovered.corrupt"] == 1
-        assert plan.unresolved == []
-        # The repair overwrote the garbled entry with a healthy one.
-        (entry,) = (tmp_path / "adapter").glob("*.npy")
-        np.testing.assert_array_equal(np.load(entry), original)
-
-    def test_adapter_survives_zero_byte_entry(self, tmp_path, monkeypatch):
-        """Regression: ``np.load`` raises EOFError (not ValueError) for
-        an empty file — the catch must include it."""
-        from repro.adapter import EMAdapter, clear_adapter_cache
-        from tests.test_adapter import make_dataset
-
-        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
-        clear_adapter_cache()
-        dataset = make_dataset()
-        adapter = EMAdapter("attr", "dbert", "mean")
-        original = adapter.transform(dataset)
-        (entry,) = (tmp_path / "adapter").glob("*.npy")
-        entry.write_bytes(b"")
-        with pytest.raises(EOFError):
-            np.load(entry)  # proves the failure mode is real
-        clear_adapter_cache()
-        np.testing.assert_array_equal(adapter.transform(dataset), original)
-        clear_adapter_cache()
-
     def test_runner_survives_binary_garbage(self, tmp_path, monkeypatch):
         """Regression: binary garbage in a JSON cache entry raises
         UnicodeDecodeError (a ValueError that is *not* JSONDecodeError);
@@ -505,7 +445,7 @@ class TestChaosHarness:
         bad = PlanOutcome(
             plan_id=1, n_specs=1, identical=False, orphans=["x.tmp"],
             injected={"corrupt": 1}, recovered={}, fatal={},
-            unresolved=[("adapter.cache.read", "p")],
+            unresolved=[("adapter.entity.read", "p")],
         )
         assert good.ok and good.balanced
         assert not bad.ok and not bad.balanced
@@ -557,7 +497,7 @@ class TestChaosHarness:
 class TestEntityStoreSeams:
     """Chaos coverage for the entity-embedding store's three seams
     (``adapter.entity.store.write``/``.replace``/``adapter.entity.read``),
-    mirroring the pair-cache drills above. Each applies once per pack."""
+    mirroring the runner-cache drills above. Each applies once per pack."""
 
     def test_transient_write_fault_recovers(self, tmp_path, monkeypatch):
         from repro.adapter import clear_entity_store, entity_store
@@ -599,15 +539,10 @@ class TestEntityStoreSeams:
         assert list((tmp_path / "entity").glob("*.pack")) == []
 
     def test_injected_corruption_settles(self, tmp_path, monkeypatch):
-        from repro.adapter import (
-            EMAdapter,
-            clear_adapter_cache,
-            clear_entity_store,
-        )
+        from repro.adapter import EMAdapter, clear_entity_store
         from tests.test_adapter import make_dataset
 
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
-        clear_adapter_cache()
         clear_entity_store()
         dataset = make_dataset()
         adapter = EMAdapter(

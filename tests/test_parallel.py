@@ -45,8 +45,8 @@ class TestStableDigest:
 
     def test_separates_a_crc32_collision(self):
         """A real 32-bit collision the 64-bit digest tells apart — the
-        adapter cache fingerprint must survive far more distinct pair-id
-        sets than a 32-bit code can. The pair below was found by a
+        entity store's keys must survive far more distinct entity texts
+        than a 32-bit code can. The pair below was found by a
         birthday search over md5-derived 16-char strings (CRC32's
         burst-error guarantee hides collisions between strings that
         differ in fewer than 32 consecutive bits, so counter-suffixed
@@ -386,55 +386,16 @@ class TestWorkerDeathRecovery:
 
 
 class TestConcurrentCacheAccess:
-    def test_two_threads_one_adapter_cache_file(self, tmp_path, monkeypatch):
-        """Two threads transform the same dataset concurrently: both
-        succeed and exactly one valid .npy lands in the disk cache."""
-        from repro.adapter import EMAdapter, clear_adapter_cache
-        from tests.test_adapter import make_dataset
-
-        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
-        clear_adapter_cache()
-        dataset = make_dataset()
-        barrier = threading.Barrier(2)
-        outputs: dict[int, np.ndarray] = {}
-        errors: list[Exception] = []
-
-        def transform(slot: int) -> None:
-            try:
-                barrier.wait(timeout=30)
-                # A private adapter instance per thread; the module-level
-                # memory cache and the disk cache are the shared state.
-                outputs[slot] = EMAdapter("attr", "dbert", "mean").transform(dataset)
-            except Exception as exc:  # pragma: no cover - failure detail
-                errors.append(exc)
-
-        threads = [
-            threading.Thread(target=transform, args=(slot,)) for slot in range(2)
-        ]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join(timeout=120)
-        clear_adapter_cache()
-
-        assert errors == []
-        np.testing.assert_array_equal(outputs[0], outputs[1])
-        files = sorted(p.name for p in (tmp_path / "adapter").iterdir())
-        assert len(files) == 1 and files[0].endswith(".npy")
-        loaded = np.load(tmp_path / "adapter" / files[0])
-        np.testing.assert_array_equal(loaded, outputs[0])
-
     def test_two_threads_share_one_entity_store(self, tmp_path, monkeypatch):
         """Two threads transform the same dataset through the shared
         entity store concurrently (the serving daemon's shape): both get
         byte-identical output and the store's byte tally stays coherent
         (regression for the unlocked ``ByteBudgetLRU``)."""
-        from repro.adapter import EMAdapter, clear_adapter_cache
+        from repro.adapter import EMAdapter
         from repro.adapter.entity_store import clear_entity_store, entity_store
         from tests.test_adapter import make_dataset
 
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
-        clear_adapter_cache()
         clear_entity_store()
         dataset = make_dataset()
         barrier = threading.Barrier(2)
@@ -470,7 +431,6 @@ class TestConcurrentCacheAccess:
         ).transform(dataset)
         np.testing.assert_array_equal(cold, outputs[0])
         clear_entity_store()
-        clear_adapter_cache()
 
     @needs_fork
     def test_two_processes_store_same_runner_key(self, tmp_path, monkeypatch):

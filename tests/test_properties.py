@@ -2,7 +2,7 @@
 
 Complements the per-module suites with hypothesis-driven checks on the
 seams between subsystems: deterministic seeding, binning monotonicity,
-metric consistency between implementations, and adapter-cache identity.
+metric consistency between implementations, and adapter determinism.
 """
 
 from __future__ import annotations
