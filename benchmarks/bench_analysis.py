@@ -31,7 +31,6 @@ def test_analysis_engine_cold_vs_warm(tmp_path):
     assert payload["warm"]["cache_misses"] == 0
     assert payload["warm"]["cache_hits"] == payload["modules"]
     assert payload["warm"]["seconds"] < payload["cold"]["seconds"]
-    assert payload["cost_pass"]["hotspots"] > 0
     assert payload["cost_pass"]["warm_seconds"] < 2.0  # propagation only
 
 
@@ -62,8 +61,6 @@ def test_committed_snapshot_schema():
         "salt", "modules", "rules", "findings", "cold", "warm", "cost_pass",
     ):
         assert key in detail, key
-    assert {"cold_seconds", "warm_seconds", "hotspots"} <= detail[
-        "cost_pass"
-    ].keys()
+    assert {"cold_seconds", "warm_seconds"} <= detail["cost_pass"].keys()
     for leg in ("cold", "warm"):
         assert {"seconds", "cache_hits", "cache_misses"} <= detail[leg].keys()

@@ -97,14 +97,22 @@ class HybridTokenizer(PairTokenizer):
     name = "hybrid"
 
     def sequences(self, pair: PairRecord, schema: Schema) -> list[PairSequence]:
-        names = schema.attribute_names
+        # Each prefix extends the previous one, so every value is read
+        # once per side; the strings equal _values over names[:i].
+        left = right = ""
         result: list[PairSequence] = []
-        for i in range(1, len(names) + 1):
-            prefix = names[:i]
-            result.append(
-                (_values(pair, "left", prefix), _values(pair, "right", prefix))
-            )
+        for name in schema.attribute_names:
+            left = _extend(left, pair.text_of("left", name))
+            right = _extend(right, pair.text_of("right", name))
+            result.append((left, right))
         return result
+
+
+def _extend(prefix: str, value: str) -> str:
+    """``prefix`` joined with ``value`` as :func:`_values` would join them."""
+    if not value:
+        return prefix
+    return f"{prefix} {value}" if prefix else value
 
 
 _REGISTRY = {

@@ -8,7 +8,7 @@ whole-program layer (import/call graphs, layering contracts, RNG-flow
 tracking, dead-symbol detection) backed by an mtime+size parse cache.
 Run it with::
 
-    python -m repro.analysis src/
+    repro-em lint src/
     repro-em lint --format json
     repro-em lint --graph dot          # dump the import graph
     repro-em lint --changed            # pre-commit: git-changed files only
@@ -29,7 +29,6 @@ from repro.analysis.cost import (
     DEFAULT_COST_HOT_LOOPS,
     DEFAULT_COST_PURE,
     DUCK_MAX,
-    Hotspot,
     Multiplicity,
     cost_analysis,
     cost_policy,
@@ -72,13 +71,7 @@ from repro.analysis.graph import (
     ModuleSummary,
     summarize_module,
 )
-from repro.analysis.reporter import (
-    render_hotspots_json,
-    render_hotspots_text,
-    render_json,
-    render_text,
-    summarize,
-)
+from repro.analysis.reporter import render_json, render_text, summarize
 
 # Importing the package registers the built-in rule pack, so that
 # RULE_REGISTRY is populated for anyone who imported repro.analysis.
@@ -104,7 +97,6 @@ __all__ = [
     "FileRule",
     "Finding",
     "FunctionInfo",
-    "Hotspot",
     "ImportEdge",
     "ImportGraph",
     "ImportRecord",
@@ -131,8 +123,6 @@ __all__ = [
     "iter_rng_flow_violations",
     "register_rule",
     "spec_matches",
-    "render_hotspots_json",
-    "render_hotspots_text",
     "render_json",
     "render_text",
     "summarize",

@@ -1,4 +1,4 @@
-"""Lint driver shared by ``repro-em lint`` and ``python -m repro.analysis``.
+"""Lint driver behind ``repro-em lint``.
 
 Exit codes follow the usual linter protocol: 0 for a clean run, 1 when
 there are new (non-baselined) findings, and 2 for usage/target errors —
@@ -25,7 +25,7 @@ from repro.analysis.core import (
 from repro.analysis.graph import CONTRACT_FILENAME
 from repro.analysis.reporter import render_json, render_text
 
-__all__ = ["add_lint_arguments", "analysis_salt", "run_lint", "main"]
+__all__ = ["add_lint_arguments", "analysis_salt", "run_lint"]
 
 #: Default baseline filename, resolved against the current directory.
 DEFAULT_BASELINE = "lint_baseline.json"
@@ -83,18 +83,6 @@ def add_lint_arguments(parser: argparse.ArgumentParser) -> None:
         choices=("json", "dot"),
         default=None,
         help="dump the import graph in this format instead of linting",
-    )
-    parser.add_argument(
-        "--hotspots",
-        action="store_true",
-        help="rank reached functions by multiplicity x effect weight "
-        "instead of linting (honours --format and --top)",
-    )
-    parser.add_argument(
-        "--top",
-        type=int,
-        default=15,
-        help="number of hotspots to show (0 = all; default: 15)",
     )
     parser.add_argument(
         "--graph-level",
@@ -321,24 +309,6 @@ def run_lint(args: argparse.Namespace) -> int:
         project.save_cache()  # the graph build warms the cache too
         return 0
 
-    if args.hotspots:
-        from repro.analysis.cost import cost_analysis
-        from repro.analysis.reporter import (
-            render_hotspots_json,
-            render_hotspots_text,
-        )
-
-        cost = cost_analysis(project)
-        ranked = cost.hotspots()
-        top = max(0, args.top)
-        shown = ranked[:top] if top else ranked
-        if args.format == "json":
-            print(render_hotspots_json(shown, total=len(ranked)))
-        else:
-            print(render_hotspots_text(shown, total=len(ranked)))
-        project.save_cache()  # the cost fixpoint warms the cache too
-        return 0
-
     findings = analyze(project, rules)
     if changed_slice is not None:
         changed_rel, closure_rel = _changed_scopes(project, changed_slice)
@@ -370,20 +340,3 @@ def run_lint(args: argparse.Namespace) -> int:
     else:
         print(render_text(result, verbose=args.verbose))
     return 1 if result.new else 0
-
-
-def main(argv: list[str] | None = None) -> int:
-    """Entry point of ``python -m repro.analysis``."""
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.analysis",
-        description="EM-repro static analysis: AST lint rules for RNG "
-        "discipline, estimator API conformance, search-space "
-        "cross-validation, export hygiene, plus whole-program "
-        "layering, RNG-flow, and dead-symbol checks",
-    )
-    add_lint_arguments(parser)
-    return run_lint(parser.parse_args(argv))
-
-
-if __name__ == "__main__":  # pragma: no cover
-    sys.exit(main())

@@ -26,8 +26,7 @@ capped at :data:`DUCK_MAX` candidates so genuinely dynamic names
 
 The ``cost expensive`` / ``cost pure`` / ``cost hot loops`` directives
 (see :class:`~repro.analysis.graph.LayeringContract`) parameterize the
-PERF rule family and the ``repro-em lint --hotspots`` report built on
-top of this analysis.
+PERF rule family built on top of this analysis.
 """
 
 from __future__ import annotations
@@ -52,7 +51,6 @@ __all__ = [
     "DEFAULT_COST_PURE",
     "DUCK_MAX",
     "CostAnalysis",
-    "Hotspot",
     "Multiplicity",
     "cost_analysis",
     "cost_policy",
@@ -101,13 +99,6 @@ DEFAULT_COST_HOT_LOOPS = (
 #: Duck resolution gives up beyond this many same-named method
 #: candidates — the name is effectively dynamic dispatch at that point.
 DUCK_MAX = 12
-
-#: Hotspot weights: declared-expensive primitives dominate, transitive
-#: I/O or process work is heavy, other effects are mild, pure is cheap.
-WEIGHT_EXPENSIVE = 1000
-WEIGHT_IO = 50
-WEIGHT_EFFECT = 5
-WEIGHT_PURE = 1
 
 _RANK_NAMES = ("once", "per-record", "per-pair")
 
@@ -196,32 +187,6 @@ def cost_policy(
         pure or DEFAULT_COST_PURE,
         hot or DEFAULT_COST_HOT_LOOPS,
     )
-
-
-@dataclass
-class Hotspot:
-    """One ranked entry of the ``--hotspots`` report."""
-
-    module: str
-    qualname: str
-    lineno: int
-    multiplicity: Multiplicity
-    weight: int
-    score: int
-    reason: str  #: why the weight ("declared expensive", "io", ...)
-    chain: tuple[str, ...]  #: rendered hops from an entry point here
-
-    def to_dict(self) -> dict:
-        return {
-            "module": self.module,
-            "qualname": self.qualname,
-            "lineno": self.lineno,
-            "multiplicity": self.multiplicity.render(),
-            "weight": self.weight,
-            "score": self.score,
-            "reason": self.reason,
-            "chain": list(self.chain),
-        }
 
 
 class CostAnalysis:
@@ -398,8 +363,6 @@ class CostAnalysis:
         """Whether ``cost hot loops`` blesses quadratic nests here."""
         return _any_spec(self.hot_loop_specs, module, qualname)
 
-    # ----------------------------------------------------------------- report
-
     def chain(
         self, module: str, qualname: str, limit: int = 10
     ) -> tuple[str, ...]:
@@ -434,41 +397,6 @@ class CostAnalysis:
             hops.insert(0, f"{caller[0]}:{caller[1]}")
         return tuple(hops)
 
-    def _weight(self, module: str, qualname: str) -> tuple[int, str]:
-        if _any_spec(self.expensive_specs, module, qualname):
-            return WEIGHT_EXPENSIVE, "declared expensive"
-        tags = self.effects.function_effects(module, qualname)
-        if tags & {"io", "process"}:
-            return WEIGHT_IO, "+".join(sorted(tags & {"io", "process"}))
-        if tags:
-            return WEIGHT_EFFECT, "+".join(sorted(tags))
-        return WEIGHT_PURE, "pure"
-
-    def hotspots(self, top: int = 0) -> list[Hotspot]:
-        """Reached functions ranked by multiplicity × effect weight.
-
-        ``top`` truncates the list; 0 means everything reached.
-        """
-        entries = []
-        for (module, qualname), mult in self.multiplicities.items():
-            weight, reason = self._weight(module, qualname)
-            score = weight * (100 ** mult.rank) * (2 if mult.k else 1)
-            info = self.summaries[module].functions[qualname]
-            entries.append(
-                Hotspot(
-                    module=module,
-                    qualname=qualname,
-                    lineno=info.lineno,
-                    multiplicity=mult,
-                    weight=weight,
-                    score=score,
-                    reason=reason,
-                    chain=self.chain(module, qualname),
-                )
-            )
-        entries.sort(key=lambda h: (-h.score, h.module, h.qualname))
-        return entries[:top] if top > 0 else entries
-
 
 def _frame_repr(loop) -> str:
     if loop.kind == "while":
@@ -481,9 +409,9 @@ def _frame_repr(loop) -> str:
 def cost_analysis(project) -> CostAnalysis:
     """The project's :class:`CostAnalysis`, built once and shared.
 
-    All four PERF rules and the ``--hotspots`` report consume the same
-    fixpoint; memoizing on the project keeps it to one build per lint,
-    and reuses the project's effect fixpoint rather than re-running it.
+    All four PERF rules consume the same fixpoint; memoizing on the
+    project keeps it to one build per lint, and reuses the project's
+    effect fixpoint rather than re-running it.
     """
     from repro.analysis.effects import effect_analysis, project_contract
 

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import json
 from collections import Counter
-from collections.abc import Sequence
 
 from repro.analysis.baseline import BaselineResult
 from repro.analysis.core import Finding, Severity
@@ -12,8 +11,6 @@ from repro.analysis.core import Finding, Severity
 __all__ = [
     "render_text",
     "render_json",
-    "render_hotspots_text",
-    "render_hotspots_json",
     "summarize",
 ]
 
@@ -67,41 +64,5 @@ def render_json(result: BaselineResult) -> str:
             for rule, path, message in result.stale
         ],
         "summary": summarize(result),
-    }
-    return json.dumps(payload, indent=2, sort_keys=True)
-
-
-def render_hotspots_text(hotspots: Sequence, total: int | None = None) -> str:
-    """Ranked hotspot table: one line per function plus its call chain.
-
-    ``hotspots`` holds :class:`repro.analysis.cost.Hotspot` entries
-    (already ranked); ``total`` is the untruncated count when the list
-    was cut with ``--top``.
-    """
-    if not hotspots:
-        return "no functions reached from the cost entry points"
-    lines = []
-    width = len(str(len(hotspots)))
-    for rank, spot in enumerate(hotspots, start=1):
-        lines.append(
-            f"{rank:>{width}}. {spot.module}:{spot.qualname} "
-            f"[{spot.multiplicity.render()}] "
-            f"score={spot.score} ({spot.reason})"
-        )
-        if len(spot.chain) > 1:
-            lines.append(f"{' ' * (width + 2)}{' '.join(spot.chain)}")
-    shown = len(hotspots)
-    if total is not None and total > shown:
-        lines.append(f"({shown} of {total} reached functions shown)")
-    else:
-        lines.append(f"({shown} reached function(s))")
-    return "\n".join(lines)
-
-
-def render_hotspots_json(hotspots: Sequence, total: int | None = None) -> str:
-    payload = {
-        "hotspots": [spot.to_dict() for spot in hotspots],
-        "shown": len(hotspots),
-        "total": total if total is not None else len(hotspots),
     }
     return json.dumps(payload, indent=2, sort_keys=True)

@@ -16,7 +16,6 @@ paper's 1h/6h budget experiments reproduce in seconds (DESIGN.md §2).
 """
 
 from repro.automl.autogluon_like import AutoGluonLike
-from repro.automl.autokeras_like import AutoKerasLike
 from repro.automl.autosklearn_like import AutoSklearnLike
 from repro.automl.base import (
     ESTIMATOR_FAILURES,
@@ -25,7 +24,6 @@ from repro.automl.base import (
     LeaderboardEntry,
 )
 from repro.automl.h2o_like import H2OAutoMLLike
-from repro.automl.random_search import RandomSearchProposer
 from repro.automl.resources import SimulatedClock, TimeBudget, model_cost_hours
 from repro.automl.search_space import (
     CategoricalDim,
@@ -37,7 +35,6 @@ from repro.automl.search_space import (
 
 __all__ = [
     "AutoGluonLike",
-    "AutoKerasLike",
     "AutoMLSystem",
     "AutoSklearnLike",
     "CategoricalDim",
@@ -49,7 +46,6 @@ __all__ = [
     "H2OAutoMLLike",
     "IntDim",
     "LeaderboardEntry",
-    "RandomSearchProposer",
     "SimulatedClock",
     "TimeBudget",
     "make_automl",
@@ -57,24 +53,20 @@ __all__ = [
     "AUTOML_NAMES",
 ]
 
+_REGISTRY: dict[str, type[AutoMLSystem]] = {
+    cls.name: cls for cls in (AutoSklearnLike, AutoGluonLike, H2OAutoMLLike)
+}
+
 #: Registry keys for the three systems, in the paper's column order.
-AUTOML_NAMES: tuple[str, ...] = ("autosklearn", "autogluon", "h2o")
+AUTOML_NAMES: tuple[str, ...] = tuple(_REGISTRY)
 
 
 def make_automl(name: str, **kwargs) -> AutoMLSystem:
     """Instantiate an AutoML system by registry name."""
     from repro.exceptions import UnknownModelError
 
-    factories = {
-        "autosklearn": AutoSklearnLike,
-        "autogluon": AutoGluonLike,
-        "h2o": H2OAutoMLLike,
-        # Extension beyond the paper's three subjects (see its related
-        # work): Auto-Keras-style neural architecture search.
-        "autokeras": AutoKerasLike,
-    }
     try:
-        factory = factories[name]
+        factory = _REGISTRY[name]
     except KeyError:
         raise UnknownModelError(
             f"unknown AutoML system {name!r}; known: {', '.join(AUTOML_NAMES)}"

@@ -13,7 +13,7 @@ import numpy as np
 from repro.automl.search_space import FAMILY_SPACES, Configuration
 from repro.exceptions import NotFittedError
 
-__all__ = ["GaussianProcessSurrogate", "SMBOProposer"]
+__all__ = ["SMBOProposer"]
 
 
 class GaussianProcessSurrogate:

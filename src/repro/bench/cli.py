@@ -1,4 +1,4 @@
-"""Bench driver shared by ``repro-em bench`` and ``python -m repro.bench``.
+"""Bench driver behind ``repro-em bench``.
 
 Exit codes: 0 when every selected spec is within its baseline's
 tolerance bands (or baselines were just rewritten), 1 when any gated
@@ -30,7 +30,7 @@ from repro.bench.schema import validate_payload
 from repro.bench.spec import TIERS, registered_specs
 from repro.bench.suites import load_suites
 
-__all__ = ["add_bench_arguments", "run_bench", "main"]
+__all__ = ["add_bench_arguments", "run_bench"]
 
 #: Where per-run snapshots land (the CI artifact directory).
 DEFAULT_OUTPUT_DIR = "benchmarks/output"
@@ -215,18 +215,3 @@ def run_bench(args: argparse.Namespace) -> int:
     else:
         print(f"OK: {len(results)} spec(s) within tolerance")
     return 1 if failed else 0
-
-
-def main(argv: list[str] | None = None) -> int:
-    """Entry point of ``python -m repro.bench``."""
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.bench",
-        description="declarative benchmark registry with persisted perf "
-        "baselines and a tolerance-band regression gate",
-    )
-    add_bench_arguments(parser)
-    return run_bench(parser.parse_args(argv))
-
-
-if __name__ == "__main__":  # pragma: no cover
-    sys.exit(main())

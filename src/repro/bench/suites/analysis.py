@@ -99,7 +99,6 @@ def run_analysis_benchmark(cache_dir: Path, warm_rounds: int = 3) -> dict:
         "cost_pass": {
             "cold_seconds": round(cost_cold_seconds, 4),
             "warm_seconds": round(min(cost_warm_seconds), 4),
-            "hotspots": len(cost_analysis(cold_project).hotspots()),
         },
     }
 
@@ -115,7 +114,6 @@ def _run(ctx) -> dict:
     ctx.metric("findings", detail["findings"]["cold"])
     ctx.metric("modules", detail["modules"])
     ctx.metric("cost_warm_seconds", detail["cost_pass"]["warm_seconds"])
-    ctx.metric("hotspots", detail["cost_pass"]["hotspots"])
     return detail
 
 
@@ -138,7 +136,6 @@ SPECS.append(
             # Counts move legitimately as the repo grows: record, don't gate.
             MetricPolicy("warm_cache_hits", direction="two_sided", gate=False),
             MetricPolicy("modules", direction="two_sided", gate=False),
-            MetricPolicy("hotspots", direction="two_sided", gate=False),
         ),
     )
 )

@@ -32,7 +32,9 @@ import sys
 
 from repro.data.benchmark import DATASET_NAMES
 
-__all__ = ["main"]
+# main's caller is the repro-em console script ([project.scripts] in
+# pyproject.toml), which lives outside the analyzed tree.
+__all__ = ["main"]  # repro: noqa[DEAD002]
 
 
 def _add_scale(parser: argparse.ArgumentParser) -> None:
@@ -289,9 +291,11 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         pipeline.fit(splits.train, splits.valid)
         save_model(pipeline, model_path)
 
-    # The daemon reports through telemetry for its whole lifetime; the
-    # hot path records metrics only (no spans), so the recorder stays
-    # bounded however long the process serves.
+    # The daemon reports through telemetry for its whole lifetime. The
+    # recorder is NOT bounded: every flush runs adapter.transform, whose
+    # spans TelemetryRecorder.finish_span keeps for the life of the
+    # process, so its memory grows with the number of flushes. Folding
+    # spans into histograms (ROADMAP item 4) is the planned fix.
     telemetry.enable()
     try:
         engine = MatchEngine(model_path, args.dataset)

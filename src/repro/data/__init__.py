@@ -15,19 +15,10 @@ from repro.data.benchmark import (
     load_dataset,
 )
 from repro.data.blocking import (
-    Blocker,
-    MinHashBlocker,
-    SortedNeighborhoodBlocker,
     TokenBlocker,
     blocking_quality,
     cluster_matches,
     make_candidate_dataset,
-)
-from repro.data.io import load_csv, save_csv
-from repro.data.profiling import (
-    AttributeProfile,
-    DatasetProfile,
-    profile_dataset,
 )
 from repro.data.schema import (
     Attribute,
@@ -41,26 +32,18 @@ from repro.data.splits import DatasetSplits, split_dataset
 __all__ = [
     "Attribute",
     "AttributeKind",
-    "AttributeProfile",
-    "Blocker",
     "DATASET_NAMES",
-    "DatasetProfile",
     "DatasetSpec",
     "DatasetSplits",
     "EMDataset",
-    "MinHashBlocker",
     "PairRecord",
     "Schema",
-    "SortedNeighborhoodBlocker",
     "TokenBlocker",
     "blocking_quality",
     "cluster_matches",
     "dataset_spec",
     "dataset_statistics",
-    "load_csv",
     "load_dataset",
     "make_candidate_dataset",
-    "profile_dataset",
-    "save_csv",
     "split_dataset",
 ]

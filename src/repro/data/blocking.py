@@ -2,16 +2,11 @@
 
 The Magellan benchmark datasets the paper evaluates on are *post-blocking*
 candidate sets. This module supplies that upstream step for users who
-start from raw tables, so the library covers the full ER pipeline:
+start from raw tables, so the library covers the full ER pipeline.
 
-* :class:`TokenBlocker` — entities sharing at least ``min_shared`` tokens
-  on the chosen attributes become candidates (standard token blocking);
-* :class:`SortedNeighborhoodBlocker` — sort both tables by a key
-  expression and slide a window over the merged order;
-* :class:`MinHashBlocker` — MinHash-LSH over token sets: entities whose
-  minhash signatures collide in at least one band become candidates.
-
-All blockers return candidate ``(left_index, right_index)`` pairs;
+:class:`TokenBlocker` makes entities sharing at least ``min_shared``
+tokens on the chosen attributes candidates (standard token blocking) and
+returns candidate ``(left_index, right_index)`` pairs;
 :func:`make_candidate_dataset` joins them with optional ground truth into
 an :class:`~repro.data.schema.EMDataset`, and
 :func:`cluster_matches` resolves pairwise match predictions into entity
@@ -20,22 +15,15 @@ clusters via connected components.
 
 from __future__ import annotations
 
-import abc
 from collections import defaultdict
 from collections.abc import Sequence
 
-import numpy as np
-
-from repro.config import stable_hash
 from repro.data.schema import EMDataset, PairRecord, Schema
 from repro.exceptions import DataError
 from repro.text.tokenization import BasicTokenizer
 
 __all__ = [
-    "Blocker",
     "TokenBlocker",
-    "SortedNeighborhoodBlocker",
-    "MinHashBlocker",
     "make_candidate_dataset",
     "cluster_matches",
     "blocking_quality",
@@ -55,17 +43,7 @@ def _row_tokens(
     return tokens
 
 
-class Blocker(abc.ABC):
-    """Produces candidate index pairs from two entity tables."""
-
-    @abc.abstractmethod
-    def candidates(
-        self, left_rows: Sequence[Row], right_rows: Sequence[Row]
-    ) -> list[tuple[int, int]]:
-        """Candidate ``(left_index, right_index)`` pairs, deduplicated."""
-
-
-class TokenBlocker(Blocker):
+class TokenBlocker:
     """Entities sharing >= ``min_shared`` tokens become candidates.
 
     Stop-tokens (appearing in more than ``max_token_frequency`` of either
@@ -91,6 +69,7 @@ class TokenBlocker(Blocker):
     def candidates(
         self, left_rows: Sequence[Row], right_rows: Sequence[Row]
     ) -> list[tuple[int, int]]:
+        """Candidate ``(left_index, right_index)`` pairs, deduplicated."""
         left_tokens = [
             _row_tokens(row, self.attributes, self._tokenizer)
             for row in left_rows
@@ -127,106 +106,6 @@ class TokenBlocker(Blocker):
                 counts[token] += 1
         threshold = max(2, int(self.max_token_frequency * max(1, n_rows)))
         return {token for token, count in counts.items() if count > threshold}
-
-
-class SortedNeighborhoodBlocker(Blocker):
-    """Classic sorted-neighborhood: sort by key, slide a window."""
-
-    def __init__(self, key_attribute: str, window: int = 5) -> None:
-        if window < 2:
-            raise DataError(f"window must be >= 2, got {window}")
-        self.key_attribute = key_attribute
-        self.window = window
-
-    def candidates(
-        self, left_rows: Sequence[Row], right_rows: Sequence[Row]
-    ) -> list[tuple[int, int]]:
-        entries: list[tuple[str, int, int]] = []
-        for i, row in enumerate(left_rows):
-            entries.append((str(row.get(self.key_attribute, "")), 0, i))
-        for j, row in enumerate(right_rows):
-            entries.append((str(row.get(self.key_attribute, "")), 1, j))
-        entries.sort()
-
-        pairs: set[tuple[int, int]] = set()
-        for pos, (_key, side, idx) in enumerate(entries):
-            for other in entries[pos + 1 : pos + self.window]:
-                _okey, oside, oidx = other
-                if side == oside:
-                    continue
-                if side == 0:
-                    pairs.add((idx, oidx))
-                else:
-                    pairs.add((oidx, idx))
-        return sorted(pairs)
-
-
-class MinHashBlocker(Blocker):
-    """MinHash-LSH blocking over token sets.
-
-    ``n_hashes = bands * rows_per_band`` hash functions; two entities
-    become candidates when all ``rows_per_band`` minima agree in at least
-    one band — the standard LSH construction whose collision probability
-    is ``1 - (1 - s^r)^b`` for Jaccard similarity ``s``.
-    """
-
-    def __init__(
-        self,
-        attributes: Sequence[str],
-        bands: int = 8,
-        rows_per_band: int = 2,
-        seed: int = 0,
-    ) -> None:
-        if not attributes:
-            raise DataError("MinHashBlocker needs at least one attribute")
-        self.attributes = tuple(attributes)
-        self.bands = bands
-        self.rows_per_band = rows_per_band
-        self.seed = seed
-        self._tokenizer = BasicTokenizer()
-        n_hashes = bands * rows_per_band
-        rng = np.random.default_rng(stable_hash("minhash", seed))
-        self._salts = rng.integers(1, 2**31 - 1, size=n_hashes)
-
-    def _signature(self, tokens: set[str]) -> np.ndarray | None:
-        if not tokens:
-            return None
-        hashes = np.array(
-            [[stable_hash(int(salt), token) for token in tokens]
-             for salt in self._salts]
-        )
-        return hashes.min(axis=1)
-
-    def candidates(
-        self, left_rows: Sequence[Row], right_rows: Sequence[Row]
-    ) -> list[tuple[int, int]]:
-        buckets: dict[tuple[int, tuple], list[int]] = defaultdict(list)
-        right_signatures = []
-        for j, row in enumerate(right_rows):
-            sig = self._signature(
-                _row_tokens(row, self.attributes, self._tokenizer)
-            )
-            right_signatures.append(sig)
-            if sig is None:
-                continue
-            for band in range(self.bands):
-                lo = band * self.rows_per_band
-                key = (band, tuple(sig[lo : lo + self.rows_per_band]))
-                buckets[key].append(j)
-
-        pairs: set[tuple[int, int]] = set()
-        for i, row in enumerate(left_rows):
-            sig = self._signature(
-                _row_tokens(row, self.attributes, self._tokenizer)
-            )
-            if sig is None:
-                continue
-            for band in range(self.bands):
-                lo = band * self.rows_per_band
-                key = (band, tuple(sig[lo : lo + self.rows_per_band]))
-                for j in buckets.get(key, ()):
-                    pairs.add((i, j))
-        return sorted(pairs)
 
 
 def make_candidate_dataset(

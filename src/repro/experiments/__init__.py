@@ -6,7 +6,7 @@ The benchmark suite under ``benchmarks/`` calls straight into these.
 """
 
 from repro.experiments.config import ExperimentConfig
-from repro.experiments.report import collect_cached_results, write_report
+from repro.experiments.report import collect_cached_results
 from repro.experiments.runner import ExperimentRunner
 from repro.experiments.table1 import run_table1, table1_rows
 from repro.experiments.table2 import run_table2, table2_rows
@@ -31,5 +31,4 @@ __all__ = [
     "table3_rows",
     "table4_rows",
     "table5_rows",
-    "write_report",
 ]

@@ -10,17 +10,14 @@ anything.
 from __future__ import annotations
 
 import json
-import os
-import tempfile
 from collections import defaultdict
-from pathlib import Path
 
 import numpy as np
 
 from repro import faults
 from repro.experiments.config import ExperimentConfig
 
-__all__ = ["collect_cached_results", "build_report", "write_report"]
+__all__ = ["collect_cached_results", "build_report"]
 
 
 def collect_cached_results(
@@ -132,32 +129,3 @@ def build_report(config: ExperimentConfig | None = None) -> str:
         lines.append("")
 
     return "\n".join(lines)
-
-
-def write_report(path: str | Path, config: ExperimentConfig | None = None) -> Path:
-    """Render :func:`build_report` to ``path``.
-
-    The write is an atomic ``report.store`` fault seam (temp file +
-    rename under :func:`repro.faults.io_retry`): a crash mid-render never
-    truncates a previously written report.
-    """
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    text = build_report(config) + "\n"
-
-    def _write() -> None:
-        fd, tmp_name = tempfile.mkstemp(
-            dir=path.parent, suffix=".tmp", prefix=path.stem
-        )
-        try:
-            with os.fdopen(fd, "w", encoding="utf-8") as handle:
-                faults.checkpoint("report.store.write", path=str(path))
-                handle.write(text)
-            faults.checkpoint("report.store.replace", path=str(path))
-            os.replace(tmp_name, path)
-        finally:
-            if os.path.exists(tmp_name):
-                os.unlink(tmp_name)
-
-    faults.io_retry(_write, "report.store")
-    return path

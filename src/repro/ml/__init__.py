@@ -3,78 +3,53 @@
 The model families AutoSklearn / AutoGluon / H2OAutoML search over,
 re-implemented on numpy/scipy: linear models, CART trees, bagged and
 extremely-randomized forests, histogram gradient boosting, k-NN, naive
-Bayes — plus the metrics, model-selection utilities, preprocessing, and
-ensembling machinery (voting, stacking, Caruana ensemble selection) the
-AutoML layer composes them with.
+Bayes — plus the metrics, model-selection utilities and preprocessing
+the AutoML layer composes them with. Caruana ensemble selection lives in
+:mod:`repro.ml.ensemble`.
 """
 
 from repro.ml.base import Estimator, clone
 from repro.ml.boosting import GradientBoostingClassifier
-from repro.ml.calibration import (
-    IsotonicCalibrator,
-    PlattCalibrator,
-    expected_calibration_error,
-)
-from repro.ml.ensemble import (
-    EnsembleSelectionClassifier,
-    StackingClassifier,
-    VotingClassifier,
-)
 from repro.ml.forest import ExtraTreesClassifier, RandomForestClassifier
 from repro.ml.linear import LinearSVMClassifier, LogisticRegression
 from repro.ml.metrics import (
-    accuracy_score,
     confusion_matrix,
     f1_score,
     log_loss,
     precision_recall_curve,
     precision_score,
     recall_score,
-    roc_auc_score,
 )
 from repro.ml.model_selection import (
-    KFold,
     StratifiedKFold,
-    cross_val_f1,
     cross_val_predict_proba,
     train_test_split,
 )
 from repro.ml.naive_bayes import GaussianNaiveBayes
 from repro.ml.neighbors import KNeighborsClassifier
-from repro.ml.preprocessing import MinMaxScaler, SimpleImputer, StandardScaler
+from repro.ml.preprocessing import SimpleImputer, StandardScaler
 from repro.ml.tree import DecisionTreeClassifier
 
 __all__ = [
     "DecisionTreeClassifier",
-    "EnsembleSelectionClassifier",
     "Estimator",
     "ExtraTreesClassifier",
     "GaussianNaiveBayes",
     "GradientBoostingClassifier",
-    "IsotonicCalibrator",
-    "KFold",
     "KNeighborsClassifier",
     "LinearSVMClassifier",
     "LogisticRegression",
-    "MinMaxScaler",
-    "PlattCalibrator",
     "RandomForestClassifier",
     "SimpleImputer",
-    "StackingClassifier",
     "StandardScaler",
     "StratifiedKFold",
-    "VotingClassifier",
-    "accuracy_score",
     "clone",
     "confusion_matrix",
-    "cross_val_f1",
     "cross_val_predict_proba",
-    "expected_calibration_error",
     "f1_score",
     "log_loss",
     "precision_recall_curve",
     "precision_score",
     "recall_score",
-    "roc_auc_score",
     "train_test_split",
 ]

@@ -1,126 +1,18 @@
 """Ensembling machinery the AutoML systems compose models with.
 
-* :class:`VotingClassifier` — soft-voting probability average.
-* :class:`StackingClassifier` — out-of-fold stacking with a logistic
-  meta-learner (the H2O "super learner" / AutoGluon stacker layer).
-* :class:`EnsembleSelectionClassifier` — greedy forward ensemble selection
-  with replacement (Caruana et al.), the post-hoc ensembling step of
-  AutoSklearn.
+:func:`caruana_selection` is greedy forward ensemble selection with
+replacement (Caruana et al.), the post-hoc ensembling step of
+AutoSklearn; the AutoGluon-like system weights its final layer with it
+too.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.ml.base import Estimator, check_is_fitted, check_Xy, clone
-from repro.ml.linear import LogisticRegression
 from repro.ml.metrics import f1_score, log_loss
-from repro.ml.model_selection import cross_val_predict_proba
 
-__all__ = [
-    "VotingClassifier",
-    "StackingClassifier",
-    "EnsembleSelectionClassifier",
-    "caruana_selection",
-]
-
-
-class VotingClassifier(Estimator):
-    """Soft voting: weighted average of member probabilities."""
-
-    def __init__(
-        self,
-        estimators: list[Estimator] | None = None,
-        weights: list[float] | None = None,
-    ) -> None:
-        self.estimators = estimators if estimators is not None else []
-        self.weights = weights
-
-    def fit(self, X: np.ndarray, y: np.ndarray) -> "VotingClassifier":
-        if not self.estimators:
-            raise ValueError("VotingClassifier needs at least one estimator")
-        X, y = check_Xy(X, y)
-        self._store_classes(y)
-        self.fitted_estimators_ = []
-        for estimator in self.estimators:
-            model = clone(estimator)
-            model.fit(X, y)
-            self.fitted_estimators_.append(model)
-        return self
-
-    def predict_proba(self, X: np.ndarray) -> np.ndarray:
-        check_is_fitted(self)
-        weights = self.weights or [1.0] * len(self.fitted_estimators_)
-        total = np.zeros((len(X), len(self.classes_)))
-        for weight, model in zip(weights, self.fitted_estimators_):
-            total += weight * model.predict_proba(X)
-        return total / max(1e-12, sum(weights))
-
-
-class StackingClassifier(Estimator):
-    """Two-layer stacking with honest (out-of-fold) level-1 features.
-
-    Base models are refit on the full training set for inference; the
-    meta-learner sees only out-of-fold predictions during fitting, so it
-    is never trained on leaked probabilities.
-    """
-
-    def __init__(
-        self,
-        estimators: list[Estimator] | None = None,
-        meta_learner: Estimator | None = None,
-        n_splits: int = 5,
-        passthrough: bool = False,
-        seed: int = 0,
-    ) -> None:
-        self.estimators = estimators if estimators is not None else []
-        self.meta_learner = meta_learner
-        self.n_splits = n_splits
-        self.passthrough = passthrough
-        self.seed = seed
-
-    def fit(self, X: np.ndarray, y: np.ndarray) -> "StackingClassifier":
-        if not self.estimators:
-            raise ValueError("StackingClassifier needs at least one estimator")
-        X, y = check_Xy(X, y)
-        self._store_classes(y)
-
-        oof_columns = []
-        self.fitted_estimators_ = []
-        for estimator in self.estimators:
-            oof = cross_val_predict_proba(
-                estimator, X, y, n_splits=self.n_splits, seed=self.seed
-            )
-            oof_columns.append(oof)
-            model = clone(estimator)
-            model.fit(X, y)
-            self.fitted_estimators_.append(model)
-
-        meta_X = np.column_stack(oof_columns)
-        if self.passthrough:
-            meta_X = np.hstack([meta_X, X])
-        meta = (
-            clone(self.meta_learner)
-            if self.meta_learner is not None
-            else LogisticRegression(C=10.0)
-        )
-        meta.fit(meta_X, y)
-        self.fitted_meta_ = meta
-        return self
-
-    def _meta_features(self, X: np.ndarray) -> np.ndarray:
-        columns = [
-            model.predict_proba(X)[:, 1] for model in self.fitted_estimators_
-        ]
-        meta_X = np.column_stack(columns)
-        if self.passthrough:
-            meta_X = np.hstack([meta_X, X])
-        return meta_X
-
-    def predict_proba(self, X: np.ndarray) -> np.ndarray:
-        check_is_fitted(self)
-        X, _ = check_Xy(X)
-        return self.fitted_meta_.predict_proba(self._meta_features(X))
+__all__ = ["caruana_selection"]
 
 
 def caruana_selection(
@@ -165,49 +57,3 @@ def caruana_selection(
     if counts.sum() == 0:
         counts[:] = 1.0
     return counts / counts.sum()
-
-
-class EnsembleSelectionClassifier(Estimator):
-    """Caruana ensemble over pre-fitted models (AutoSklearn's final step).
-
-    Unlike the other ensembles this one receives *already fitted* models
-    plus their validation probabilities, because the AutoML search loop has
-    evaluated each candidate exactly once and refitting would waste budget.
-    """
-
-    def __init__(
-        self,
-        fitted_models: list[Estimator] | None = None,
-        weights: np.ndarray | None = None,
-    ) -> None:
-        self.fitted_models = fitted_models if fitted_models is not None else []
-        self.weights = weights
-
-    @classmethod
-    def from_validation(
-        cls,
-        fitted_models: list[Estimator],
-        valid_proba: np.ndarray,
-        y_valid: np.ndarray,
-        n_rounds: int = 20,
-    ) -> "EnsembleSelectionClassifier":
-        """Build the ensemble by greedy selection on validation data."""
-        weights = caruana_selection(valid_proba, y_valid, n_rounds=n_rounds)
-        ensemble = cls(fitted_models=fitted_models, weights=weights)
-        ensemble.classes_ = fitted_models[0].classes_
-        return ensemble
-
-    def fit(self, X: np.ndarray, y: np.ndarray) -> "EnsembleSelectionClassifier":
-        raise NotImplementedError(
-            "use EnsembleSelectionClassifier.from_validation; members are pre-fitted"
-        )
-
-    def predict_proba(self, X: np.ndarray) -> np.ndarray:
-        check_is_fitted(self)
-        if self.weights is None:
-            raise ValueError("ensemble weights missing")
-        total = np.zeros((len(X), len(self.classes_)))
-        for weight, model in zip(self.weights, self.fitted_models):
-            if weight > 0:
-                total += weight * model.predict_proba(X)
-        return total

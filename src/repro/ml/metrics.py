@@ -11,13 +11,11 @@ from __future__ import annotations
 import numpy as np
 
 __all__ = [
-    "accuracy_score",
     "precision_score",
     "recall_score",
     "f1_score",
     "confusion_matrix",
     "log_loss",
-    "roc_auc_score",
     "precision_recall_curve",
     "best_f1_threshold",
 ]
@@ -29,15 +27,6 @@ def _as_binary(y: np.ndarray) -> np.ndarray:
     if unexpected:
         raise ValueError(f"binary metrics expect labels {{0,1}}, got {unexpected}")
     return y.astype(np.int64)
-
-
-def accuracy_score(y_true: np.ndarray, y_pred: np.ndarray) -> float:
-    """Fraction of exactly-correct predictions."""
-    y_true = np.asarray(y_true)
-    y_pred = np.asarray(y_pred)
-    if len(y_true) == 0:
-        return 0.0
-    return float(np.mean(y_true == y_pred))
 
 
 def confusion_matrix(y_true: np.ndarray, y_pred: np.ndarray) -> np.ndarray:
@@ -88,30 +77,6 @@ def log_loss(y_true: np.ndarray, proba: np.ndarray, eps: float = 1e-12) -> float
     return float(
         -np.mean(y_true * np.log(proba) + (1 - y_true) * np.log(1 - proba))
     )
-
-
-def roc_auc_score(y_true: np.ndarray, proba: np.ndarray) -> float:
-    """Area under the ROC curve via the rank statistic (ties averaged)."""
-    y_true = _as_binary(y_true)
-    proba = np.asarray(proba, dtype=np.float64)
-    if proba.ndim == 2:
-        proba = proba[:, 1]
-    n_pos = int(y_true.sum())
-    n_neg = len(y_true) - n_pos
-    if n_pos == 0 or n_neg == 0:
-        return 0.5
-    order = np.argsort(proba, kind="mergesort")
-    sorted_scores = proba[order]
-    ranks = np.empty(len(proba), dtype=np.float64)
-    i = 0
-    while i < len(sorted_scores):
-        j = i
-        while j + 1 < len(sorted_scores) and sorted_scores[j + 1] == sorted_scores[i]:
-            j += 1
-        ranks[order[i : j + 1]] = 0.5 * (i + j) + 1.0
-        i = j + 1
-    pos_rank_sum = float(ranks[y_true == 1].sum())
-    return (pos_rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
 
 
 def precision_recall_curve(

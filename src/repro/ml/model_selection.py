@@ -11,10 +11,8 @@ from repro.ml.base import Estimator, clone
 
 __all__ = [
     "train_test_split",
-    "KFold",
     "StratifiedKFold",
     "cross_val_predict_proba",
-    "cross_val_f1",
 ]
 
 
@@ -47,30 +45,6 @@ def train_test_split(
         idx = rng.permutation(n)
         test_mask[idx[: max(1, int(round(test_size * n)))]] = True
     return X[~test_mask], X[test_mask], y[~test_mask], y[test_mask]
-
-
-class KFold:
-    """Plain k-fold splitter yielding ``(train_idx, test_idx)`` pairs."""
-
-    def __init__(self, n_splits: int = 5, shuffle: bool = True, seed: int = 0):
-        if n_splits < 2:
-            raise ValueError(f"n_splits must be >= 2, got {n_splits}")
-        self.n_splits = n_splits
-        self.shuffle = shuffle
-        self.seed = seed
-
-    def split(self, y: np.ndarray) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-        n = len(y)
-        indices = np.arange(n)
-        if self.shuffle:
-            np.random.default_rng(self.seed).shuffle(indices)
-        folds = np.array_split(indices, self.n_splits)
-        for i in range(self.n_splits):
-            test_idx = folds[i]
-            train_idx = np.concatenate(
-                [folds[j] for j in range(self.n_splits) if j != i]
-            )
-            yield np.sort(train_idx), np.sort(test_idx)
 
 
 class StratifiedKFold:
@@ -108,9 +82,7 @@ def cross_val_predict_proba(
 ) -> np.ndarray:
     """Out-of-fold P(class 1) for every row, via stratified k-fold.
 
-    This is the primitive both stacking (AutoGluon / H2O style) and honest
-    ensemble selection build on: every prediction comes from a model that
-    never saw that row.
+    Every prediction comes from a model that never saw that row.
     """
     X = np.asarray(X)
     y = np.asarray(y)
@@ -122,18 +94,3 @@ def cross_val_predict_proba(
         fold_proba = model.predict_proba(X[test_idx])
         proba[test_idx] = fold_proba[:, 1]
     return proba
-
-
-def cross_val_f1(
-    estimator: Estimator,
-    X: np.ndarray,
-    y: np.ndarray,
-    n_splits: int = 5,
-    seed: int = 0,
-    threshold: float = 0.5,
-) -> float:
-    """Mean out-of-fold F1 at a fixed threshold."""
-    from repro.ml.metrics import f1_score
-
-    proba = cross_val_predict_proba(estimator, X, y, n_splits=n_splits, seed=seed)
-    return f1_score(y, (proba >= threshold).astype(np.int64))

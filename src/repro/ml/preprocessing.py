@@ -11,7 +11,7 @@ import numpy as np
 
 from repro.exceptions import NotFittedError
 
-__all__ = ["SimpleImputer", "StandardScaler", "MinMaxScaler", "Pipeline"]
+__all__ = ["SimpleImputer", "StandardScaler", "Pipeline"]
 
 
 class SimpleImputer:
@@ -70,25 +70,6 @@ class StandardScaler:
         if not hasattr(self, "mean_"):
             raise NotFittedError("StandardScaler must be fitted before transform")
         return (np.asarray(X, dtype=np.float64) - self.mean_) / self.scale_
-
-    def fit_transform(self, X: np.ndarray) -> np.ndarray:
-        return self.fit(X).transform(X)
-
-
-class MinMaxScaler:
-    """Rescale each column to [0, 1] (constant columns map to 0)."""
-
-    def fit(self, X: np.ndarray) -> "MinMaxScaler":
-        X = np.asarray(X, dtype=np.float64)
-        self.min_ = X.min(axis=0)
-        span = X.max(axis=0) - self.min_
-        self.span_ = np.where(span > 0, span, 1.0)
-        return self
-
-    def transform(self, X: np.ndarray) -> np.ndarray:
-        if not hasattr(self, "min_"):
-            raise NotFittedError("MinMaxScaler must be fitted before transform")
-        return (np.asarray(X, dtype=np.float64) - self.min_) / self.span_
 
     def fit_transform(self, X: np.ndarray) -> np.ndarray:
         return self.fit(X).transform(X)

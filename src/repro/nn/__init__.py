@@ -4,21 +4,18 @@
 ``transformer`` the forward-only encoder the simulated pre-trained models
 run on; ``autograd`` the small manual-gradient module set (linear layers,
 attention pooling) that trainable networks — the DeepMatcher baseline —
-are built from; ``optim`` the SGD/Adam optimizers for those.
+are built from; ``optim`` the Adam optimizer for those.
 """
 
-from repro.nn.functional import gelu, layer_norm, relu, sigmoid, softmax
-from repro.nn.optim import SGD, Adam
+from repro.nn.functional import gelu, layer_norm, softmax
+from repro.nn.optim import Adam
 from repro.nn.transformer import EncoderConfig, TransformerEncoder
 
 __all__ = [
     "Adam",
     "EncoderConfig",
-    "SGD",
     "TransformerEncoder",
     "gelu",
     "layer_norm",
-    "relu",
-    "sigmoid",
     "softmax",
 ]

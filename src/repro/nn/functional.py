@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["softmax", "gelu", "relu", "sigmoid", "layer_norm"]
+__all__ = ["softmax", "gelu", "layer_norm"]
 
 
 def softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:
@@ -27,16 +27,6 @@ def hard_gelu(x: np.ndarray) -> np.ndarray:
     the nonlinearity matters there, not its exact curvature.
     """
     return x * np.clip(0.25 * x + 0.5, 0.0, 1.0)
-
-
-def relu(x: np.ndarray) -> np.ndarray:
-    """Rectified linear unit."""
-    return np.maximum(x, 0.0)
-
-
-def sigmoid(x: np.ndarray) -> np.ndarray:
-    """Logistic sigmoid with clipping for numerical stability."""
-    return 1.0 / (1.0 + np.exp(-np.clip(x, -35.0, 35.0)))
 
 
 def layer_norm(x: np.ndarray, eps: float = 1e-5) -> np.ndarray:

@@ -1,34 +1,10 @@
-"""Optimizers for the manual-gradient networks (SGD and Adam)."""
+"""The optimizer for the manual-gradient networks (Adam)."""
 
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["SGD", "Adam"]
-
-
-class SGD:
-    """Vanilla SGD with optional momentum."""
-
-    def __init__(self, lr: float = 0.01, momentum: float = 0.0) -> None:
-        if lr <= 0:
-            raise ValueError(f"lr must be positive, got {lr}")
-        self.lr = lr
-        self.momentum = momentum
-        self._velocity: dict[int, np.ndarray] = {}
-
-    def step(self, params: list[np.ndarray], grads: list[np.ndarray]) -> None:
-        """Update ``params`` in place from matching ``grads``."""
-        for i, (param, grad) in enumerate(zip(params, grads)):
-            if self.momentum > 0:
-                v = self._velocity.get(i)
-                if v is None:
-                    v = np.zeros_like(param)
-                v = self.momentum * v - self.lr * grad
-                self._velocity[i] = v
-                param += v
-            else:
-                param -= self.lr * grad
+__all__ = ["Adam"]
 
 
 class Adam:

@@ -1,16 +1,13 @@
 """Text substrate: tokenization, vocabularies, similarity, word embeddings.
 
 This package supplies the low-level NLP machinery every other subsystem
-builds on: the tokenizers used by the EM adapter and the simulated
+builds on: the word tokenizer used by the EM adapter and the simulated
 pre-trained transformers, classic string-similarity measures used by the
 dataset generators and magellan-style feature builders, and a from-scratch
 Word2Vec used for the no-adapter AutoSklearn baseline of Section 5.1.
 """
 
-from repro.text.phonetic import metaphone, phonetic_equal, soundex
 from repro.text.similarity import (
-    cosine_similarity,
-    dice,
     jaccard,
     jaro,
     jaro_winkler,
@@ -18,35 +15,21 @@ from repro.text.similarity import (
     levenshtein_ratio,
     monge_elkan,
     overlap_coefficient,
-    token_sort_ratio,
 )
-from repro.text.tokenization import (
-    BasicTokenizer,
-    SubwordTokenizer,
-    Tokenizer,
-    normalize_text,
-)
+from repro.text.tokenization import BasicTokenizer, normalize_text
 from repro.text.vocab import Vocabulary
 from repro.text.word2vec import Word2Vec
 
 __all__ = [
     "BasicTokenizer",
-    "SubwordTokenizer",
-    "Tokenizer",
     "Vocabulary",
     "Word2Vec",
-    "cosine_similarity",
-    "dice",
     "jaccard",
     "jaro",
     "jaro_winkler",
     "levenshtein",
     "levenshtein_ratio",
-    "metaphone",
     "monge_elkan",
     "normalize_text",
     "overlap_coefficient",
-    "phonetic_equal",
-    "soundex",
-    "token_sort_ratio",
 ]

@@ -12,8 +12,6 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
 
-import numpy as np
-
 __all__ = [
     "levenshtein",
     "levenshtein_ratio",
@@ -21,10 +19,7 @@ __all__ = [
     "jaro_winkler",
     "jaccard",
     "overlap_coefficient",
-    "dice",
-    "cosine_similarity",
     "monge_elkan",
-    "token_sort_ratio",
     "ngrams",
 ]
 
@@ -133,24 +128,6 @@ def overlap_coefficient(a: Iterable[str], b: Iterable[str]) -> float:
     return len(sa & sb) / min(len(sa), len(sb))
 
 
-def dice(a: Iterable[str], b: Iterable[str]) -> float:
-    """Sørensen-Dice coefficient of two token collections."""
-    sa, sb = _as_set(a), _as_set(b)
-    total = len(sa) + len(sb)
-    if total == 0:
-        return 1.0
-    return 2.0 * len(sa & sb) / total
-
-
-def cosine_similarity(a: np.ndarray, b: np.ndarray) -> float:
-    """Cosine similarity of two dense vectors; 0.0 when either is zero."""
-    na = float(np.linalg.norm(a))
-    nb = float(np.linalg.norm(b))
-    if na == 0.0 or nb == 0.0:
-        return 0.0
-    return float(np.dot(a, b) / (na * nb))
-
-
 def monge_elkan(
     a_tokens: Sequence[str],
     b_tokens: Sequence[str],
@@ -169,13 +146,6 @@ def monge_elkan(
     for ta in a_tokens:
         total += max(inner(ta, tb) for tb in b_tokens)
     return total / len(a_tokens)
-
-
-def token_sort_ratio(a: str, b: str) -> float:
-    """Edit similarity after sorting whitespace tokens (fuzzywuzzy-style)."""
-    sa = " ".join(sorted(a.split()))
-    sb = " ".join(sorted(b.split()))
-    return levenshtein_ratio(sa, sb)
 
 
 def ngrams(text: str, n: int = 3) -> list[str]:

@@ -1,38 +1,19 @@
-"""Tokenizers used by the EM adapter and the simulated transformers.
+"""Word-level tokenization for the text substrate.
 
-Two families are provided:
-
-* :class:`BasicTokenizer` — lower-cases, strips punctuation into separate
-  tokens, and splits on whitespace. Used by Word2Vec, the dataset
-  generators, and the magellan-style feature builder.
-* :class:`SubwordTokenizer` — a greedy longest-match-first wordpiece-style
-  tokenizer over a vocabulary learned from a corpus. Each simulated
-  pre-trained architecture (BERT, ALBERT, …) owns a ``SubwordTokenizer``
-  with its own vocabulary size and casing convention, mirroring how real
-  checkpoints ship their own vocab.
-
-Both satisfy the small :class:`Tokenizer` protocol: ``tokenize(text) ->
-list[str]``.
+:class:`BasicTokenizer` lower-cases, strips punctuation into separate
+tokens, and splits on whitespace. Word2Vec, blocking, the Magellan and
+DeepMatcher baselines, the adapter's feature builders and the simulated
+pre-trained encoders (:mod:`repro.transformers.pretrained`) all use it.
 """
 
 from __future__ import annotations
 
 import re
-from collections import Counter
-from collections.abc import Iterable
-from typing import Protocol
 
-__all__ = ["Tokenizer", "BasicTokenizer", "SubwordTokenizer", "normalize_text"]
+__all__ = ["BasicTokenizer", "normalize_text"]
 
 _PUNCT_RE = re.compile(r"([!-/:-@\[-`{-~])")
 _WS_RE = re.compile(r"\s+")
-
-#: Special tokens shared by all subword vocabularies.
-PAD_TOKEN = "[PAD]"
-UNK_TOKEN = "[UNK]"
-CLS_TOKEN = "[CLS]"
-SEP_TOKEN = "[SEP]"
-SPECIAL_TOKENS = (PAD_TOKEN, UNK_TOKEN, CLS_TOKEN, SEP_TOKEN)
 
 
 def normalize_text(text: str, lowercase: bool = True) -> str:
@@ -42,13 +23,6 @@ def normalize_text(text: str, lowercase: bool = True) -> str:
     if lowercase:
         text = text.lower()
     return text
-
-
-class Tokenizer(Protocol):
-    """Anything that turns a string into a list of tokens."""
-
-    def tokenize(self, text: str) -> list[str]:  # pragma: no cover - protocol
-        ...
 
 
 class BasicTokenizer:
@@ -66,137 +40,3 @@ class BasicTokenizer:
 
     def __repr__(self) -> str:
         return f"BasicTokenizer(lowercase={self.lowercase})"
-
-
-class SubwordTokenizer:
-    """Greedy wordpiece-style subword tokenizer.
-
-    The vocabulary is learned from a corpus with a frequency-driven
-    procedure: whole words above a frequency threshold enter the vocabulary
-    directly; remaining coverage comes from character n-gram pieces ranked
-    by corpus frequency. Unknown words are decomposed greedily
-    longest-match-first, with continuation pieces written ``##piece`` as in
-    BERT. Words that cannot be covered fall back to ``[UNK]``.
-    """
-
-    def __init__(
-        self,
-        vocab_size: int = 8192,
-        lowercase: bool = True,
-        max_piece_length: int = 8,
-    ) -> None:
-        if vocab_size < len(SPECIAL_TOKENS) + 30:
-            raise ValueError(f"vocab_size too small: {vocab_size}")
-        self.vocab_size = vocab_size
-        self.lowercase = lowercase
-        self.max_piece_length = max_piece_length
-        self._basic = BasicTokenizer(lowercase=lowercase)
-        self._pieces: dict[str, int] = {}
-        self._fitted = False
-
-    @property
-    def is_fitted(self) -> bool:
-        """Whether :meth:`fit` has been called."""
-        return self._fitted
-
-    @property
-    def pieces(self) -> dict[str, int]:
-        """Mapping piece -> id (includes special tokens)."""
-        return dict(self._pieces)
-
-    def fit(self, corpus: Iterable[str]) -> "SubwordTokenizer":
-        """Learn the subword vocabulary from an iterable of documents."""
-        word_counts: Counter[str] = Counter()
-        for document in corpus:
-            word_counts.update(self._basic.tokenize(document))
-
-        piece_counts: Counter[str] = Counter()
-        for word, count in word_counts.items():
-            for start in range(len(word)):
-                for length in range(1, self.max_piece_length + 1):
-                    piece = word[start : start + length]
-                    if len(piece) < length:
-                        break
-                    key = piece if start == 0 else "##" + piece
-                    piece_counts[key] += count
-
-        vocab: dict[str, int] = {tok: i for i, tok in enumerate(SPECIAL_TOKENS)}
-        # Single characters first so every word is always coverable.
-        chars: set[str] = set()
-        for word in word_counts:
-            chars.update(word)
-        for ch in sorted(chars):
-            for key in (ch, "##" + ch):
-                if key not in vocab:
-                    vocab[key] = len(vocab)
-
-        # Whole frequent words, then frequent pieces, until the budget fills.
-        for word, _count in word_counts.most_common():
-            if len(vocab) >= self.vocab_size:
-                break
-            if word not in vocab:
-                vocab[word] = len(vocab)
-        for piece, _count in piece_counts.most_common():
-            if len(vocab) >= self.vocab_size:
-                break
-            if piece not in vocab:
-                vocab[piece] = len(vocab)
-
-        self._pieces = vocab
-        self._fitted = True
-        return self
-
-    def tokenize(self, text: str) -> list[str]:
-        """Tokenize ``text`` into subword pieces (greedy longest match)."""
-        self._require_fitted()
-        result: list[str] = []
-        for word in self._basic.tokenize(text):
-            result.extend(self._split_word(word))
-        return result
-
-    def encode(self, text: str) -> list[int]:
-        """Tokenize and map pieces to their integer ids."""
-        self._require_fitted()
-        unk = self._pieces[UNK_TOKEN]
-        return [self._pieces.get(piece, unk) for piece in self.tokenize(text)]
-
-    def piece_id(self, piece: str) -> int:
-        """Id of a single piece, falling back to the ``[UNK]`` id."""
-        self._require_fitted()
-        return self._pieces.get(piece, self._pieces[UNK_TOKEN])
-
-    def _split_word(self, word: str) -> list[str]:
-        if word in self._pieces:
-            return [word]
-        pieces: list[str] = []
-        start = 0
-        while start < len(word):
-            end = min(len(word), start + self.max_piece_length)
-            found = None
-            while end > start:
-                candidate = word[start:end]
-                key = candidate if start == 0 else "##" + candidate
-                if key in self._pieces:
-                    found = key
-                    break
-                end -= 1
-            if found is None:
-                return [UNK_TOKEN]
-            pieces.append(found)
-            start = end
-        return pieces
-
-    def _require_fitted(self) -> None:
-        if not self._fitted:
-            from repro.exceptions import NotFittedError
-
-            raise NotFittedError(
-                "SubwordTokenizer.fit must be called before tokenizing"
-            )
-
-    def __repr__(self) -> str:
-        state = "fitted" if self._fitted else "unfitted"
-        return (
-            f"SubwordTokenizer(vocab_size={self.vocab_size}, "
-            f"lowercase={self.lowercase}, {state})"
-        )

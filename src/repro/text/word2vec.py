@@ -35,7 +35,8 @@ class Word2Vec:
     epochs:
         Passes over the corpus.
     learning_rate:
-        Initial SGD step size, linearly decayed to 10% over training.
+        Initial stochastic-gradient step size, linearly decayed to 10% over
+        training.
     min_count:
         Words rarer than this map to ``<unk>``.
     seed:

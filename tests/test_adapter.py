@@ -80,10 +80,22 @@ class TestTokenizers:
         assert sequences[2][0] == "sony camera x0 sony 10.0"
 
     def test_hybrid_skips_empty_values_in_concat(self):
-        left = {"title": "a", "brand": "", "price": None}
-        pair = PairRecord(0, left, dict(left), 0)
-        sequences = HybridTokenizer().sequences(pair, SCHEMA)
-        assert sequences[-1][0] == "a"
+        # Every prefix equals the space-join of its non-empty values, also
+        # when the first value is empty (no leading space) or a middle one
+        # is (no doubled space).
+        cases = [
+            ({"title": "a", "brand": "", "price": None}, ["a", "a", "a"]),
+            ({"title": "", "brand": "sony", "price": 3.0},
+             ["", "sony", "sony 3.0"]),
+            ({"title": None, "brand": "", "price": 3.0}, ["", "", "3.0"]),
+            ({"title": "a", "brand": "", "price": 3.0}, ["a", "a", "a 3.0"]),
+        ]
+        for left, expected in cases:
+            right = {"title": "b", "brand": "x", "price": None}
+            pair = PairRecord(0, left, right, 0)
+            sequences = HybridTokenizer().sequences(pair, SCHEMA)
+            assert [s[0] for s in sequences] == expected
+            assert [s[1] for s in sequences] == ["b", "b x", "b x"]
 
     def test_sequence_count_matches(self):
         assert AttributeTokenizer().sequence_count(SCHEMA) == 3

@@ -20,7 +20,6 @@ from repro.automl.bayesian import (
     expected_improvement,
 )
 from repro.automl.meta_learning import MetaFeatures, warm_start_portfolio
-from repro.automl.random_search import RandomSearchProposer
 from repro.automl.search_space import (
     FAMILY_SPACES,
     default_configuration,
@@ -214,12 +213,6 @@ class TestBayesian:
             proposer.observe(config, float(rng.random()))
         assert proposer.propose().family == "logreg"
 
-    def test_random_search_ignores_history(self):
-        rng = np.random.default_rng(0)
-        proposer = RandomSearchProposer(rng, families=("gbm",))
-        proposer.observe(default_configuration("gbm"), 1.0)
-        assert proposer.propose().family == "gbm"
-
 
 class TestMetaLearning:
     def test_meta_features(self):
@@ -283,8 +276,11 @@ class TestSystems:
 
 class TestSystemSpecifics:
     def test_unknown_system(self):
-        with pytest.raises(UnknownModelError):
-            make_automl("autoweka")
+        # "autokeras" named a system outside the paper's three; the registry
+        # accepts exactly the names AUTOML_NAMES lists.
+        for name in ("autoweka", "autokeras"):
+            with pytest.raises(UnknownModelError):
+                make_automl(name)
 
     def test_autosklearn_exhausts_budget(self, linear_problem):
         X, y, _, _ = linear_problem
@@ -305,45 +301,3 @@ class TestSystemSpecifics:
         short.fit(X, y)
         long.fit(X, y)
         assert long.report_.n_evaluated >= short.report_.n_evaluated
-
-
-class TestAutoKerasLike:
-    """The NAS extension (not part of the paper's three subjects)."""
-
-    def test_fit_predict(self, linear_problem):
-        from repro.automl import AutoKerasLike
-        from repro.ml import f1_score
-
-        X, y, X_test, y_test = linear_problem
-        system = AutoKerasLike(budget_hours=1.0, seed=0, max_models=6)
-        system.fit(X, y)
-        assert f1_score(y_test, system.predict(X_test)) > 0.6
-
-    def test_registry_name(self):
-        from repro.automl import AutoKerasLike, make_automl
-
-        assert isinstance(make_automl("autokeras"), AutoKerasLike)
-
-    def test_searches_distinct_architectures(self, linear_problem):
-        from repro.automl import AutoKerasLike
-
-        X, y, _, _ = linear_problem
-        system = AutoKerasLike(budget_hours=5.0, seed=0, max_models=6)
-        system.fit(X, y)
-        seen = {
-            (e.config.params["hidden"], e.config.params["epochs"])
-            for e in system.report_.leaderboard
-        }
-        assert len(seen) >= 2
-
-    def test_encode_in_unit_cube(self):
-        from repro.automl.autokeras_like import AutoKerasLike
-
-        system = AutoKerasLike(seed=1)
-        import numpy as np
-
-        system._rng = np.random.default_rng(1)
-        for _ in range(20):
-            params = system._sample_architecture()
-            unit = system._encode(params)
-            assert ((unit >= 0) & (unit <= 1)).all()

@@ -35,7 +35,7 @@ from repro.bench import (
     validate_payload,
     write_payload,
 )
-from repro.bench.cli import main as bench_main
+from repro.cli import main as cli_main
 from repro.telemetry import memory_profile, peak_rss_kb
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
@@ -426,16 +426,16 @@ def _register_cli_spec(value: float = 1.0):
 
 class TestBenchCli:
     def test_list(self, capsys):
-        assert bench_main(["--list"]) == 0
+        assert cli_main(["bench", "--list"]) == 0
         out = capsys.readouterr().out
         assert "analysis" in out and "[quick]" in out
-        assert bench_main(["--list", "--json"]) == 0
+        assert cli_main(["bench", "--list", "--json"]) == 0
         listing = json.loads(capsys.readouterr().out)
         assert {"name", "tier", "description", "metrics"} <= listing[0].keys()
 
     def test_unknown_only_is_usage_error(self, capsys):
         with pytest.raises(SystemExit, match="unknown benchmark"):
-            bench_main(["--only", "not_a_spec"])
+            cli_main(["bench", "--only", "not_a_spec"])
 
     def test_update_then_gate_then_regression(self, tmp_path, capsys):
         out_dir = str(tmp_path / "out")
@@ -447,17 +447,17 @@ class TestBenchCli:
             _register_cli_spec(value=1.0)
 
             # No baseline yet: the run fails and says how to create one.
-            assert bench_main(common) == 1
+            assert cli_main(["bench", *common]) == 1
             assert "NO BASELINE" in capsys.readouterr().out
 
-            assert bench_main(common + ["--update-baselines"]) == 0
+            assert cli_main(["bench", *common, "--update-baselines"]) == 0
             capsys.readouterr()
             baseline_file = Path(base_dir) / "BENCH_clidemo.json"
             assert baseline_file.exists()
             validate_payload(json.loads(baseline_file.read_text()))
 
             # Same value: within band, exit 0, snapshot emitted.
-            assert bench_main(common) == 0
+            assert cli_main(["bench", *common]) == 0
             out = capsys.readouterr().out
             assert "within tolerance" in out
             snapshot_file = Path(out_dir) / "BENCH_clidemo.json"
@@ -467,7 +467,7 @@ class TestBenchCli:
         # metric and delta.
         with scratch_registry():
             _register_cli_spec(value=2.0)
-            assert bench_main(common) == 1
+            assert cli_main(["bench", *common]) == 1
             out = capsys.readouterr().out
             assert "latency" in out
             assert "+100.0%" in out
@@ -480,9 +480,9 @@ class TestBenchCli:
                   "--baseline-dir", base_dir, "--json"]
         with scratch_registry():
             _register_cli_spec(value=1.0)
-            assert bench_main(common + ["--update-baselines"]) == 0
+            assert cli_main(["bench", *common, "--update-baselines"]) == 0
             capsys.readouterr()
-            assert bench_main(common) == 0
+            assert cli_main(["bench", *common]) == 0
             report = json.loads(capsys.readouterr().out)
         assert report["ok"] is True
         (spec_report,) = report["specs"]

@@ -6,8 +6,6 @@ import numpy as np
 import pytest
 
 from repro.data.blocking import (
-    MinHashBlocker,
-    SortedNeighborhoodBlocker,
     TokenBlocker,
     blocking_quality,
     cluster_matches,
@@ -68,61 +66,6 @@ class TestTokenBlocker:
         left, right, _m, _s = make_tables(20)
         candidates = TokenBlocker(["name"]).candidates(left, right)
         assert candidates == sorted(set(candidates))
-
-
-class TestSortedNeighborhood:
-    def test_window_blocks_neighbours(self):
-        left = [{"k": "aaa"}, {"k": "zzz"}]
-        right = [{"k": "aab"}, {"k": "zzy"}]
-        blocker = SortedNeighborhoodBlocker("k", window=2)
-        candidates = blocker.candidates(left, right)
-        assert (0, 0) in candidates
-        assert (1, 1) in candidates
-        assert (0, 1) not in candidates
-
-    def test_larger_window_superset(self):
-        left, right, _m, _s = make_tables(20)
-        small = SortedNeighborhoodBlocker("name", window=3)
-        large = SortedNeighborhoodBlocker("name", window=9)
-        assert set(small.candidates(left, right)) <= set(
-            large.candidates(left, right)
-        )
-
-    def test_rejects_tiny_window(self):
-        with pytest.raises(DataError):
-            SortedNeighborhoodBlocker("k", window=1)
-
-
-class TestMinHash:
-    def test_high_jaccard_pairs_collide(self):
-        left = [{"t": "golden dragon palace restaurant downtown"}]
-        right = [
-            {"t": "golden dragon palace restaurant uptown"},
-            {"t": "completely unrelated sushi bar"},
-        ]
-        blocker = MinHashBlocker(["t"], bands=16, rows_per_band=1, seed=1)
-        candidates = blocker.candidates(left, right)
-        assert (0, 0) in candidates
-
-    def test_deterministic(self):
-        left, right, _m, _s = make_tables(20)
-        a = MinHashBlocker(["name", "addr"], seed=3).candidates(left, right)
-        b = MinHashBlocker(["name", "addr"], seed=3).candidates(left, right)
-        assert a == b
-
-    def test_empty_rows_skipped(self):
-        blocker = MinHashBlocker(["t"])
-        assert blocker.candidates([{"t": ""}], [{"t": "x"}]) == []
-
-    def test_recall_on_generated_tables(self):
-        left, right, matches, _s = make_tables(30)
-        blocker = MinHashBlocker(
-            ["name", "addr", "phone"], bands=12, rows_per_band=1
-        )
-        quality = blocking_quality(
-            blocker.candidates(left, right), matches, len(left), len(right)
-        )
-        assert quality["pair_completeness"] > 0.7
 
 
 class TestCandidateDataset:

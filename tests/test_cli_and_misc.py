@@ -2,10 +2,35 @@
 
 from __future__ import annotations
 
+import ast
+import importlib
+from pathlib import Path
+
 import pytest
 
 import repro
 from repro.cli import main as cli_main
+
+EXAMPLES_DIR = Path(__file__).resolve().parents[1] / "examples"
+
+
+def _repro_imports(path: Path) -> list[tuple[str, str | None]]:
+    """Every ``(module, name)`` a script imports from ``repro``, at any
+    depth (imports inside functions included); ``name`` is None for a
+    plain ``import repro.x``."""
+    found: list[tuple[str, str | None]] = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.ImportFrom) and node.level == 0:
+            module = node.module or ""
+            if module == "repro" or module.startswith("repro."):
+                found.extend((module, alias.name) for alias in node.names)
+        elif isinstance(node, ast.Import):
+            found.extend(
+                (alias.name, None)
+                for alias in node.names
+                if alias.name == "repro" or alias.name.startswith("repro.")
+            )
+    return found
 
 
 class TestPackageSurface:
@@ -21,6 +46,22 @@ class TestPackageSurface:
     def test_all_matches_attributes(self):
         for name in repro.__all__:
             assert hasattr(repro, name), name
+
+    def test_example_imports_resolve(self):
+        scripts = sorted(EXAMPLES_DIR.glob("*.py"))
+        assert scripts
+        for script in scripts:
+            imports = _repro_imports(script)
+            assert imports, f"{script.name} imports nothing from repro"
+            for module_name, name in imports:
+                module = importlib.import_module(module_name)
+                if name is None or hasattr(module, name):
+                    continue
+                # ``from repro.pkg import submodule`` binds a submodule.
+                try:
+                    importlib.import_module(f"{module_name}.{name}")
+                except ImportError:
+                    pytest.fail(f"{script.name}: {module_name} has no {name!r}")
 
 
 class TestCliEdgeCases:

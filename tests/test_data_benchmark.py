@@ -1,4 +1,4 @@
-"""Tests for the benchmark registry, splits, dirty corruption, and CSV IO."""
+"""Tests for the benchmark registry, splits, and dirty corruption."""
 
 from __future__ import annotations
 
@@ -14,7 +14,6 @@ from repro.data import (
     split_dataset,
 )
 from repro.data.corruption import make_dirty
-from repro.data.io import load_csv, save_csv
 from repro.exceptions import DataError, UnknownDatasetError
 
 
@@ -150,41 +149,3 @@ class TestDirtyCorruption:
                 return sorted(tokens)
 
             assert bag(c.left) == bag(d.left)
-
-
-class TestCsvIO:
-    def test_roundtrip(self, tmp_path, tiny_sda):
-        path = save_csv(tiny_sda, tmp_path / "sda.csv")
-        loaded = load_csv(path)
-        assert loaded.name == tiny_sda.name
-        assert loaded.dataset_type == tiny_sda.dataset_type
-        assert len(loaded) == len(tiny_sda)
-        assert (loaded.labels == tiny_sda.labels).all()
-        assert loaded.schema.attribute_names == tiny_sda.schema.attribute_names
-
-    def test_roundtrip_preserves_text_values(self, tmp_path, tiny_sda):
-        path = save_csv(tiny_sda, tmp_path / "sda.csv")
-        loaded = load_csv(path)
-        assert loaded[0].left["title"] == tiny_sda[0].left["title"]
-
-    def test_missing_numeric_roundtrips_as_none(self, tmp_path):
-        dataset = load_dataset("S-WA", scale=0.05)
-        path = save_csv(dataset, tmp_path / "wa.csv")
-        loaded = load_csv(path)
-        originals = [p.left["price"] for p in dataset]
-        reloaded = [p.left["price"] for p in loaded]
-        assert (originals.count(None) or True) and originals.count(
-            None
-        ) == reloaded.count(None)
-
-    def test_truncated_file_raises(self, tmp_path):
-        path = tmp_path / "broken.csv"
-        path.write_text("")
-        with pytest.raises(DataError):
-            load_csv(path)
-
-    def test_missing_header_raises(self, tmp_path):
-        path = tmp_path / "noheader.csv"
-        path.write_text("id,label\n1,0\n")
-        with pytest.raises(DataError):
-            load_csv(path)

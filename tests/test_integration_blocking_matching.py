@@ -1,5 +1,4 @@
-"""Cross-subsystem integration tests: blocking + matching + clustering,
-and phonetic keys as blocking keys."""
+"""Cross-subsystem integration test: blocking + matching + clustering."""
 
 from __future__ import annotations
 
@@ -7,7 +6,6 @@ import numpy as np
 import pytest
 
 from repro.data.blocking import (
-    SortedNeighborhoodBlocker,
     TokenBlocker,
     blocking_quality,
     cluster_matches,
@@ -17,7 +15,6 @@ from repro.data.generators import BeerGenerator
 from repro.data.splits import split_dataset
 from repro.matching import MagellanMatcher
 from repro.ml.metrics import f1_score
-from repro.text.phonetic import soundex
 
 
 def build_tables(n_shared=60, n_only=30, seed=11):
@@ -74,20 +71,3 @@ class TestEndToEndER:
                 good += 1
         assert clusters
         assert good / len(clusters) > 0.6
-
-
-class TestPhoneticBlocking:
-    def test_soundex_key_blocks_misspelled_names(self):
-        left = [{"name": "smith brewing", "key": soundex("smith")}]
-        right = [
-            {"name": "smyth brewing", "key": soundex("smyth")},
-            {"name": "jones brewing", "key": soundex("jones")},
-        ]
-        blocker = SortedNeighborhoodBlocker("key", window=2)
-        candidates = blocker.candidates(left, right)
-        assert (0, 0) in candidates
-
-    def test_soundex_keys_agree_for_variants(self):
-        assert soundex("catherine") == soundex("katherine")[0].replace(
-            "K", "C"
-        ) + soundex("katherine")[1:]

@@ -7,21 +7,16 @@ import pytest
 
 from repro.exceptions import NotFittedError
 from repro.ml import (
-    EnsembleSelectionClassifier,
-    GradientBoostingClassifier,
     LogisticRegression,
     SimpleImputer,
-    StackingClassifier,
     StandardScaler,
     StratifiedKFold,
-    VotingClassifier,
     cross_val_predict_proba,
     f1_score,
     train_test_split,
 )
 from repro.ml.ensemble import caruana_selection
-from repro.ml.model_selection import KFold, cross_val_f1
-from repro.ml.preprocessing import MinMaxScaler, Pipeline
+from repro.ml.preprocessing import Pipeline
 
 
 class TestSplitting:
@@ -41,36 +36,16 @@ class TestSplitting:
         with pytest.raises(ValueError):
             train_test_split(X, y, test_size=1.5)
 
-    def test_kfold_covers_everything(self):
-        y = np.arange(23)
-        seen = []
-        for _train, test in KFold(n_splits=4).split(y):
-            seen.extend(test.tolist())
-        assert sorted(seen) == list(range(23))
-
-    def test_kfold_train_test_disjoint(self):
-        y = np.arange(20)
-        for train, test in KFold(n_splits=5).split(y):
-            assert not set(train) & set(test)
-
     def test_stratified_kfold_balance(self):
         y = np.array([0] * 80 + [1] * 20)
         for _train, test in StratifiedKFold(n_splits=4).split(y):
             assert y[test].mean() == pytest.approx(0.2, abs=0.07)
-
-    def test_kfold_rejects_one_split(self):
-        with pytest.raises(ValueError):
-            KFold(n_splits=1)
 
     def test_cross_val_predict_covers_all_rows(self, linear_problem):
         X, y, _, _ = linear_problem
         proba = cross_val_predict_proba(LogisticRegression(), X, y, n_splits=3)
         assert proba.shape == (len(y),)
         assert ((proba >= 0) & (proba <= 1)).all()
-
-    def test_cross_val_f1_reasonable(self, linear_problem):
-        X, y, _, _ = linear_problem
-        assert cross_val_f1(LogisticRegression(), X, y, n_splits=3) > 0.7
 
 
 class TestPreprocessing:
@@ -108,11 +83,6 @@ class TestPreprocessing:
         out = StandardScaler().fit_transform(X)
         assert (out == 0.0).all()
 
-    def test_minmax_scaler(self):
-        X = np.array([[0.0], [5.0], [10.0]])
-        out = MinMaxScaler().fit_transform(X)
-        np.testing.assert_allclose(out.ravel(), [0.0, 0.5, 1.0])
-
     def test_pipeline_end_to_end(self, linear_problem):
         X, y, X_test, y_test = linear_problem
         X_nan = X.copy()
@@ -133,42 +103,7 @@ class TestPreprocessing:
 
 
 class TestEnsembles:
-    def test_voting_averages(self, linear_problem):
-        X, y, X_test, y_test = linear_problem
-        voting = VotingClassifier(
-            [LogisticRegression(), GradientBoostingClassifier(n_estimators=30)]
-        )
-        voting.fit(X, y)
-        assert f1_score(y_test, voting.predict(X_test)) > 0.7
 
-    def test_voting_rejects_empty(self, linear_problem):
-        X, y, _, _ = linear_problem
-        with pytest.raises(ValueError):
-            VotingClassifier([]).fit(X, y)
-
-    def test_voting_weights(self, linear_problem):
-        X, y, X_test, _ = linear_problem
-        strong = LogisticRegression()
-        weak = LogisticRegression(C=0.0001)
-        heavy = VotingClassifier([strong, weak], weights=[0.99, 0.01]).fit(X, y)
-        solo = LogisticRegression().fit(X, y)
-        np.testing.assert_allclose(
-            heavy.predict_proba(X_test)[:, 1],
-            solo.predict_proba(X_test)[:, 1],
-            atol=0.05,
-        )
-
-    def test_stacking_beats_weak_base(self, linear_problem):
-        X, y, X_test, y_test = linear_problem
-        stack = StackingClassifier(
-            [LogisticRegression(C=0.001), LogisticRegression(C=1.0)],
-            n_splits=3,
-        )
-        stack.fit(X, y)
-        weak = LogisticRegression(C=0.001).fit(X, y)
-        assert f1_score(y_test, stack.predict(X_test)) >= f1_score(
-            y_test, weak.predict(X_test)
-        )
 
     def test_caruana_prefers_better_model(self):
         y = np.array([0, 1] * 50)
@@ -187,21 +122,3 @@ class TestEnsembles:
     def test_caruana_rejects_1d(self):
         with pytest.raises(ValueError):
             caruana_selection(np.zeros(5), np.zeros(5))
-
-    def test_ensemble_selection_from_validation(self, linear_problem):
-        X, y, X_test, y_test = linear_problem
-        models = [
-            LogisticRegression().fit(X, y),
-            GradientBoostingClassifier(n_estimators=30).fit(X, y),
-        ]
-        valid_proba = np.column_stack(
-            [m.predict_proba(X_test)[:, 1] for m in models]
-        )
-        ensemble = EnsembleSelectionClassifier.from_validation(
-            models, valid_proba, y_test, n_rounds=6
-        )
-        assert f1_score(y_test, ensemble.predict(X_test)) > 0.7
-
-    def test_ensemble_selection_fit_is_disabled(self):
-        with pytest.raises(NotImplementedError):
-            EnsembleSelectionClassifier().fit(np.zeros((2, 2)), np.zeros(2))

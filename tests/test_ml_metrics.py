@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.ml.metrics import (
-    accuracy_score,
     best_f1_threshold,
     confusion_matrix,
     f1_score,
@@ -16,14 +15,12 @@ from repro.ml.metrics import (
     precision_recall_curve,
     precision_score,
     recall_score,
-    roc_auc_score,
 )
 
 
 class TestBasicMetrics:
     def test_perfect_predictions(self):
         y = np.array([0, 1, 1, 0])
-        assert accuracy_score(y, y) == 1.0
         assert f1_score(y, y) == 1.0
         assert precision_score(y, y) == 1.0
         assert recall_score(y, y) == 1.0
@@ -31,7 +28,6 @@ class TestBasicMetrics:
     def test_all_wrong(self):
         y = np.array([0, 1])
         pred = np.array([1, 0])
-        assert accuracy_score(y, pred) == 0.0
         assert f1_score(y, pred) == 0.0
 
     def test_confusion_layout(self):
@@ -55,9 +51,6 @@ class TestBasicMetrics:
     def test_rejects_nonbinary(self):
         with pytest.raises(ValueError):
             f1_score([0, 2], [0, 1])
-
-    def test_empty_accuracy(self):
-        assert accuracy_score([], []) == 0.0
 
     @given(
         st.lists(st.integers(0, 1), min_size=2, max_size=30),
@@ -84,28 +77,6 @@ class TestProbabilisticMetrics:
         proba = np.array([[0.9, 0.1], [0.2, 0.8]])
         single = log_loss(y, proba[:, 1])
         assert log_loss(y, proba) == pytest.approx(single)
-
-    def test_auc_perfect_ranking(self):
-        y = np.array([0, 0, 1, 1])
-        assert roc_auc_score(y, np.array([0.1, 0.2, 0.8, 0.9])) == 1.0
-
-    def test_auc_inverted_ranking(self):
-        y = np.array([0, 0, 1, 1])
-        assert roc_auc_score(y, np.array([0.9, 0.8, 0.2, 0.1])) == 0.0
-
-    def test_auc_random_is_half(self):
-        rng = np.random.default_rng(0)
-        y = rng.integers(0, 2, size=2000)
-        scores = rng.random(2000)
-        assert roc_auc_score(y, scores) == pytest.approx(0.5, abs=0.05)
-
-    def test_auc_degenerate_classes(self):
-        assert roc_auc_score([1, 1], [0.1, 0.9]) == 0.5
-
-    def test_auc_handles_ties(self):
-        y = np.array([0, 1, 0, 1])
-        scores = np.array([0.5, 0.5, 0.5, 0.5])
-        assert roc_auc_score(y, scores) == pytest.approx(0.5)
 
 
 class TestThresholding:

@@ -1,4 +1,4 @@
-"""Tests for the trainable neural substrate: optimizers and the MLP."""
+"""Tests for the trainable neural substrate: the Adam optimizer and the MLP."""
 
 from __future__ import annotations
 
@@ -7,27 +7,11 @@ import pytest
 
 from repro.exceptions import NotFittedError
 from repro.nn.autograd import MLPClassifier
-from repro.nn.optim import SGD, Adam
+from repro.nn.optim import Adam
 
 
 class TestOptimizers:
-    def test_sgd_descends_quadratic(self):
-        w = np.array([5.0])
-        optimizer = SGD(lr=0.1)
-        for _ in range(100):
-            optimizer.step([w], [2.0 * w])
-        assert abs(w[0]) < 1e-3
 
-    def test_sgd_momentum_faster_on_ravine(self):
-        def run(momentum):
-            w = np.array([5.0, 5.0])
-            optimizer = SGD(lr=0.02, momentum=momentum)
-            for _ in range(50):
-                grad = np.array([2.0 * w[0], 20.0 * w[1]])
-                optimizer.step([w], [grad])
-            return abs(w[0])
-
-        assert run(0.9) < run(0.0)
 
     def test_adam_descends(self):
         w = np.array([3.0])
@@ -39,8 +23,6 @@ class TestOptimizers:
     def test_rejects_bad_lr(self):
         with pytest.raises(ValueError):
             Adam(lr=0.0)
-        with pytest.raises(ValueError):
-            SGD(lr=-1.0)
 
     def test_adam_updates_multiple_params(self):
         a = np.ones((2, 2))

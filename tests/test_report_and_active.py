@@ -10,11 +10,7 @@ import pytest
 from repro.data import load_dataset, split_dataset
 from repro.exceptions import DataError
 from repro.experiments.config import ExperimentConfig
-from repro.experiments.report import (
-    build_report,
-    collect_cached_results,
-    write_report,
-)
+from repro.experiments.report import build_report, collect_cached_results
 from repro.matching import MagellanMatcher
 from repro.matching.active import ActiveLearningLoop
 from repro.ml.metrics import f1_score
@@ -72,11 +68,6 @@ class TestReport:
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "empty"))
         text = build_report(ExperimentConfig(scale=0.5))
         assert "cached results: 0" in text
-
-    def test_write_report(self, populated_cache, tmp_path):
-        path = write_report(tmp_path / "out" / "report.md", populated_cache)
-        assert path.exists()
-        assert "Reproduction report" in path.read_text()
 
 
 class TestActiveLearning:

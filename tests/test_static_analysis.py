@@ -2619,34 +2619,6 @@ class TestCostAnalysis:
         assert chain[0] == "repro.app:main"
         assert "-[for pair in pairs]->" in chain[1]
 
-    def test_hotspots_rank_expensive_first(self, tmp_path):
-        cost = self._cost(tmp_path, {
-            "docs/ARCHITECTURE_CONTRACT": COST_CONTRACT,
-            "src/repro/heavy.py": "def embed(batch):\n    return batch\n",
-            "src/repro/util.py": "def cheap(x):\n    return x\n",
-            "src/repro/app.py": """
-                from repro.heavy import embed
-                from repro.util import cheap
-
-                def main(pairs):
-                    for pair in pairs:
-                        cheap(pair)
-                        for side in pair:
-                            embed(side)
-                """,
-        })
-        spots = cost.hotspots()
-        assert (spots[0].module, spots[0].qualname) == ("repro.heavy", "embed")
-        assert spots[0].reason == "declared expensive"
-        assert spots[0].multiplicity.render() == "per-pair"
-        top = cost.hotspots(top=1)
-        assert len(top) == 1
-        payload = spots[0].to_dict()
-        assert set(payload) == {
-            "module", "qualname", "lineno", "multiplicity", "weight",
-            "score", "reason", "chain",
-        }
-
 
 # --------------------------------------------------------------------------
 # PERF001-PERF004: the hot-path rule family
@@ -2960,7 +2932,7 @@ class TestPerfRules:
 
 
 # --------------------------------------------------------------------------
-# The --hotspots report: library ranking on src/ plus the CLI surface
+# The cost fixpoint on src/: the adapter's embed path is reached per pair
 
 
 class TestHotspotReport:
@@ -2977,58 +2949,7 @@ class TestHotspotReport:
             "PretrainedEncoder.entity_half",
         )
         assert mult is not None and mult.rank >= 2
-        top = {
-            (spot.module, spot.qualname) for spot in cost.hotspots(top=5)
-        }
-        assert (
-            "repro.transformers.pretrained",
-            "PretrainedEncoder.entity_half",
-        ) in top
         embed = cost.multiplicity(
             "repro.adapter.embedder", "TransformerEmbedder.embed_pairs"
         )
         assert embed is not None and embed.rank >= 2
-
-    def test_cli_hotspots_text(self, tmp_path, monkeypatch, capsys):
-        write_tree(tmp_path, {
-            "docs/ARCHITECTURE_CONTRACT": COST_CONTRACT,
-            "src/repro/heavy.py": "def embed(batch):\n    return batch\n",
-            "src/repro/app.py": """
-                from repro.heavy import embed
-
-                def main(pairs):
-                    for pair in pairs:
-                        embed(pair)
-                """,
-        })
-        monkeypatch.chdir(tmp_path)
-        assert cli_main(["lint", "src", "--hotspots", "--no-cache"]) == 0
-        out = capsys.readouterr().out
-        assert "repro.heavy:embed" in out
-        assert "[per-record]" in out
-        assert "declared expensive" in out
-
-    def test_cli_hotspots_json(self, tmp_path, monkeypatch, capsys):
-        write_tree(tmp_path, {
-            "docs/ARCHITECTURE_CONTRACT": COST_CONTRACT,
-            "src/repro/heavy.py": "def embed(batch):\n    return batch\n",
-            "src/repro/app.py": """
-                from repro.heavy import embed
-
-                def main(pairs):
-                    for pair in pairs:
-                        embed(pair)
-                """,
-        })
-        monkeypatch.chdir(tmp_path)
-        assert cli_main([
-            "lint", "src", "--hotspots", "--format", "json",
-            "--top", "1", "--no-cache",
-        ]) == 0
-        payload = json.loads(capsys.readouterr().out)
-        assert payload["shown"] == 1
-        assert payload["total"] >= 2
-        spot = payload["hotspots"][0]
-        assert spot["module"] == "repro.heavy"
-        assert spot["multiplicity"] == "per-record"
-        assert isinstance(spot["chain"], list)

@@ -8,11 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.exceptions import NotFittedError
-from repro.text.tokenization import (
-    BasicTokenizer,
-    SubwordTokenizer,
-    normalize_text,
-)
+from repro.text.tokenization import BasicTokenizer, normalize_text
 from repro.text.vocab import Vocabulary
 from repro.text.word2vec import Word2Vec
 
@@ -53,42 +49,6 @@ class TestBasicTokenizer:
     def test_roundtrip_word_count(self, tokens):
         text = " ".join(tokens)
         assert BasicTokenizer().tokenize(text) == tokens
-
-
-class TestSubwordTokenizer:
-    @pytest.fixture(scope="class")
-    def fitted(self):
-        corpus = [
-            "efficient query processing in databases",
-            "query optimization for database systems",
-            "entity matching and duplicate detection",
-        ] * 3
-        return SubwordTokenizer(vocab_size=256).fit(corpus)
-
-    def test_requires_fit(self):
-        with pytest.raises(NotFittedError):
-            SubwordTokenizer().tokenize("query")
-
-    def test_known_word_kept_whole(self, fitted):
-        assert fitted.tokenize("query") == ["query"]
-
-    def test_unknown_word_decomposes(self, fitted):
-        pieces = fitted.tokenize("queryish")
-        assert len(pieces) >= 2
-        assert pieces[0] == "query"
-        assert all(p.startswith("##") for p in pieces[1:])
-
-    def test_coverage_via_characters(self, fitted):
-        # Letters appear in the corpus, so any lowercase word tokenizes.
-        assert "[UNK]" not in fitted.tokenize("zzzap")
-
-    def test_encode_ids_in_range(self, fitted):
-        ids = fitted.encode("query processing zzzap")
-        assert all(0 <= i < len(fitted.pieces) for i in ids)
-
-    def test_rejects_tiny_vocab(self):
-        with pytest.raises(ValueError):
-            SubwordTokenizer(vocab_size=8)
 
 
 class TestVocabulary:

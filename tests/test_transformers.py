@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.exceptions import UnknownModelError
-from repro.nn.functional import gelu, hard_gelu, layer_norm, sigmoid, softmax
+from repro.nn.functional import gelu, hard_gelu, layer_norm, softmax
 from repro.nn.transformer import EncoderConfig, TransformerEncoder
 from repro.transformers import EMBEDDER_NAMES, load_pretrained
 
@@ -35,10 +35,6 @@ class TestFunctional:
         out = layer_norm(x)
         np.testing.assert_allclose(out.mean(axis=-1), 0.0, atol=1e-6)
         np.testing.assert_allclose(out.std(axis=-1), 1.0, atol=1e-2)
-
-    def test_sigmoid_clips(self):
-        assert sigmoid(np.array([1e6]))[0] == pytest.approx(1.0)
-        assert sigmoid(np.array([-1e6]))[0] == pytest.approx(0.0)
 
     @given(st.integers(0, 1000))
     @settings(max_examples=20)
